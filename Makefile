@@ -9,7 +9,7 @@ GO ?= go
 # climbs, never lower it).
 COVER_FLOOR ?= 80.0
 
-.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts bench bench-json bench-gate bench-baseline profile lint fmt docs-check cover fuzz-smoke clean-store
+.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts bench bench-json bench-gate bench-baseline bench-vet generate-check profile lint fmt docs-check cover fuzz-smoke clean-store
 
 all: build lint docs-check test
 
@@ -102,6 +102,17 @@ bench-gate:
 
 bench-baseline:
 	sh scripts/bench_baseline.sh
+
+# Vet (and so build) the service benchmark, a nested module that the
+# root `go build ./...` skips: an API change that breaks it fails here.
+bench-vet:
+	cd servicebench && $(GO) vet ./...
+
+# Regenerate the sortx sorting networks and fail if the checked-in
+# networks.go is not exactly its generator's output.
+generate-check:
+	$(GO) generate ./internal/sortx
+	git diff --exit-code -- internal/sortx/networks.go
 
 # CPU + allocation profile of the streaming-study hot path
 # (BenchmarkStudyStreaming), summarised to the terminal; the raw

@@ -22,6 +22,7 @@ import (
 	"os"
 
 	"earlybird/internal/cluster"
+	"earlybird/internal/dlb"
 	"earlybird/internal/miniapps"
 	"earlybird/internal/omp"
 	"earlybird/internal/simclock"
@@ -104,7 +105,11 @@ func runModel(app string, cfg cluster.Config) (*trace.Dataset, error) {
 	default:
 		return nil, fmt.Errorf("unknown app %q", app)
 	}
-	return cluster.Run(m, cfg)
+	col, err := cluster.RunColumnarDLB(m, cfg, dlb.Spec{}, 0)
+	if err != nil {
+		return nil, err
+	}
+	return col.Dataset(), nil
 }
 
 func runLive(app string, trials, ranks, iters, threads int, seed uint64) (*trace.Dataset, error) {

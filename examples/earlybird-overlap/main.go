@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"earlybird/internal/cluster"
+	"earlybird/internal/dlb"
 	"earlybird/internal/mpi"
 	"earlybird/internal/network"
 	"earlybird/internal/omp"
@@ -98,10 +99,11 @@ func analyticalComparison() {
 		workload.DefaultMiniMD(),
 		workload.DefaultMiniQMC(),
 	} {
-		ds, err := cluster.Run(m, cfg)
+		col, err := cluster.RunColumnarDLB(m, cfg, dlb.Spec{}, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
+		ds := col.Dataset()
 		fmt.Printf("\n%s (1 MiB per thread portion, Omni-Path model):\n", ds.App)
 		for _, r := range partcomm.Evaluate(ds, 1<<20, fabric, strategies) {
 			fmt.Printf("  %s\n", r)

@@ -13,6 +13,7 @@ import (
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
+	"earlybird/internal/dlb"
 	"earlybird/internal/miniapps"
 	"earlybird/internal/omp"
 	"earlybird/internal/simclock"
@@ -22,10 +23,11 @@ import (
 func main() {
 	// --- Calibrated model study (reproduces the paper's numbers). ---
 	cfg := cluster.Config{Trials: 4, Ranks: 8, Iterations: 100, Threads: 48, Seed: 1}
-	ds, err := cluster.Run(workload.DefaultMiniFE(), cfg)
+	col, err := cluster.RunColumnarDLB(workload.DefaultMiniFE(), cfg, dlb.Spec{}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ds := col.Dataset()
 
 	// Figure 4: percentile series and its left-skew signature.
 	ps := analysis.IterationPercentiles(ds, nil)

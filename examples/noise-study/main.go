@@ -19,6 +19,7 @@ import (
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
+	"earlybird/internal/dlb"
 	"earlybird/internal/noise"
 	"earlybird/internal/workload"
 )
@@ -50,10 +51,11 @@ func main() {
 	}
 
 	for _, sc := range scenarios {
-		ds, err := cluster.Run(sc.model, cfg)
+		col, err := cluster.RunColumnarDLB(sc.model, cfg, dlb.Spec{}, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
+		ds := col.Dataset()
 		m := analysis.ComputeMetrics(ds, analysis.DefaultLaggardThresholdSec)
 		lb := analysis.DatasetLoadBalance(ds)
 		tl := analysis.NewLaggardTimeline(ds, analysis.DefaultLaggardThresholdSec)

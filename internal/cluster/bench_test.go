@@ -16,7 +16,7 @@ func BenchmarkRunQuickGeometry(b *testing.B) {
 	} {
 		b.Run(m.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(m, cfg); err != nil {
+				if _, err := RunColumnarDLB(m, cfg, dlb.Spec{}, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,8 +1,9 @@
-// Package cluster runs a full study job — trials x ranks x iterations x
-// threads — over a workload model, producing the trace.Dataset that the
-// analysis pipeline consumes, or — via RunStream — feeding per-iteration
-// sample blocks straight to subscribed accumulators so aggregate-only
-// studies never materialise the dataset at all.
+// Package cluster fills a full study job — trials x ranks x iterations x
+// threads — over a workload model. Fill is the one fill loop: it writes
+// the per-iteration sample blocks into a columnar trace.Sink (the store
+// the analysis pipeline consumes), hands them straight to subscribed
+// accumulators so aggregate-only studies never materialise the dataset
+// at all, or both.
 //
 // The default geometry mirrors the paper's experimental configuration on
 // Manzano (Section 3.2): ten trials, eight processes per job, 48 threads
@@ -65,76 +66,27 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Run executes the study described by cfg over the model and returns the
-// collected dataset. Process iterations are filled concurrently (one task
-// per trial x rank); the result is deterministic in cfg.Seed regardless of
-// scheduling because every (trial, rank, iteration) derives its own
-// random stream.
-func Run(model workload.Model, cfg Config) (*trace.Dataset, error) {
-	return RunWorkers(model, cfg, 0)
-}
-
-// RunDLB is Run under a rebalancing policy: thread ownership shifts
-// between ranks at iteration boundaries as the policy dictates, and the
-// sample times reflect the shifted allocations (see RunStreamDLB).
-func RunDLB(model workload.Model, cfg Config, policy dlb.Spec) (*trace.Dataset, error) {
-	col, err := RunColumnarDLB(model, cfg, policy, 0)
-	if err != nil {
-		return nil, err
-	}
-	return col.Dataset(), nil
-}
-
-// RunWorkers is Run with an explicit bound on the number of fill
-// goroutines; workers <= 0 means one per CPU. The campaign engine uses
-// this to divide the machine between concurrently executing studies
-// instead of oversubscribing it.
-func RunWorkers(model workload.Model, cfg Config, workers int) (*trace.Dataset, error) {
-	col, err := RunColumnar(model, cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-	return col.Dataset(), nil
-}
-
-// RunColumnar executes the study into a columnar sink and returns the
-// sealed store: the compact form the campaign engine caches. The dataset
-// fingerprint is accumulated stripe-by-stripe while the samples are
-// produced, so Seal pays no second pass over the data.
-func RunColumnar(model workload.Model, cfg Config, workers int) (*trace.Columnar, error) {
-	return RunColumnarDLB(model, cfg, dlb.Spec{}, workers)
-}
-
-// RunColumnarDLB is RunColumnar under a rebalancing policy.
-func RunColumnarDLB(model workload.Model, cfg Config, policy dlb.Spec, workers int) (*trace.Columnar, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sink := trace.NewSink(model.Name(), cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads)
-	if _, err := RunStreamDLB(model, cfg, policy, workers, sink, nil); err != nil {
-		return nil, err
-	}
-	return sink.Seal()
-}
-
 // BlockObserver consumes process-iteration sample blocks as they are
-// produced by a streaming fill. The slice passed to ObserveBlock is only
-// valid for the duration of the call and must not be mutated or retained.
+// produced by a fill. The slice passed to ObserveBlock is only valid for
+// the duration of the call and must not be mutated or retained.
 type BlockObserver interface {
 	ObserveBlock(trial, rank, iter int, times []float64)
 }
 
-// ProgressSink receives live fill telemetry from a streaming run — the
-// observer-hook half of the TALP-style live performance tracking
-// (internal/telemetry provides the tracker half). Implementations must
-// be safe for concurrent use: every fill worker calls ObserveFill after
-// every produced block.
+// ProgressSink receives live fill telemetry — the observer-hook half of
+// the TALP-style live performance tracking (internal/telemetry provides
+// the tracker half). Implementations must be safe for concurrent use:
+// every fill worker calls ObserveFill after every produced block.
 //
 // No-perturbation contract: a sink only ever receives counts and
 // durations, never the sample slice, so it cannot perturb the result
-// path; and a nil sink costs one predicted branch per block, so the
-// detached hot path is unchanged (both properties are pinned by tests —
-// golden fingerprints with/without a sink, and the bench gate).
+// path (pinned by golden fingerprints with and without a sink). Detached,
+// it costs a predicted nil check per block; attached, two clock reads
+// per block. Fill has one loop body for both cases: a separate detached
+// copy of the loop, kept on the theory that hoisting the branch made
+// telemetry free, measured no faster: BenchmarkFillDLB/static took
+// 13.14 ms with the copy and 13.13 ms without (best of 5 runs, median
+// over 10 interleaved pairs, GOMAXPROCS=1, 2-CPU AMD EPYC, Go 1.24).
 type ProgressSink interface {
 	// ObserveFill reports one produced process-iteration block: its
 	// sample count and the worker time spent filling it.
@@ -145,84 +97,184 @@ type ProgressSink interface {
 	ObserveLend(n int)
 }
 
-// RunColumnarObserved is RunColumnarDLB with a live progress sink
-// attached to the fill.
-func RunColumnarObserved(model workload.Model, cfg Config, policy dlb.Spec, workers int, progress ProgressSink) (*trace.Columnar, error) {
+// Job describes one fill: a model over a geometry under a rebalancing
+// policy, with everything the produced blocks feed. Only Model and
+// Config are required.
+type Job struct {
+	Model  workload.Model
+	Config Config
+	// Policy is the rebalancing policy; the zero Spec is static.
+	Policy dlb.Spec
+	// Workers bounds the fill goroutines; <= 0 means GOMAXPROCS. The
+	// campaign engine sets it to divide the machine between concurrent
+	// studies instead of oversubscribing it.
+	Workers int
+	// Sink, when non-nil, receives every sample in place (zero copy); it
+	// must match Config's geometry and the caller seals it afterwards.
+	// When nil, blocks are discarded once observed, so an aggregate-only
+	// fill runs in O(workers x threads) live sample memory.
+	Sink *trace.Sink
+	// NewObserver, when non-nil, is invoked once per fill worker; each
+	// worker feeds its own observer, so observers need no locking.
+	NewObserver func() BlockObserver
+	// Progress, when non-nil, receives live fill telemetry.
+	Progress ProgressSink
+}
+
+// Fill runs the job and returns the observers NewObserver created, for
+// the caller to merge. The samples are deterministic in Config.Seed
+// regardless of worker count, because every (trial, rank, iteration)
+// derives its own random stream.
+//
+// Fill works on tasks. Under the static policy a task is one
+// (trial, rank) stripe. Under LeWI or DROM a task is one whole trial,
+// because the balancer couples that trial's ranks: at every iteration
+// boundary it sees the per-rank finish times and re-divides the trial's
+// thread budget, and a rank running on alloc threads instead of its base
+// complement has its (fixed-size) block scaled by base/alloc — the
+// work-conserving model of running the same work on fewer or more
+// cores. Within a task iterations are outer and ranks inner, so the
+// balancer decides iteration i+1 from iteration i. Rebalancing is
+// strictly per trial, so trial-sharded federation stays exact under any
+// policy.
+//
+// Worker w owns the contiguous task range stripeRange(tasks, workers, w),
+// fixed up front, so the partition of blocks across observers is
+// deterministic too. Observer state must still be merge-order-independent
+// (as the mergeable accumulators in stats and analysis are).
+func Fill(job Job) ([]BlockObserver, error) {
+	cfg := job.Config
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	policy, err := job.Policy.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	if s := job.Sink; s != nil {
+		if s.Trials() != cfg.Trials || s.Ranks() != cfg.Ranks ||
+			s.Iterations() != cfg.Iterations || s.Threads() != cfg.Threads {
+			return nil, fmt.Errorf("cluster: sink geometry %dx%dx%dx%d does not match config %+v",
+				s.Trials(), s.Ranks(), s.Iterations(), s.Threads(), cfg)
+		}
+	}
+	taskRanks := cfg.Ranks
+	if policy.IsStatic() {
+		taskRanks = 1
+	}
+	tasks := cfg.Trials * cfg.Ranks / taskRanks
+	workers := job.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, tasks)
+
+	root := rng.New(cfg.Seed)
+	var wg sync.WaitGroup
+	var observers []BlockObserver
+	for w := 0; w < workers; w++ {
+		var obs BlockObserver
+		if job.NewObserver != nil {
+			obs = job.NewObserver()
+			observers = append(observers, obs)
+		}
+		lo, hi := stripeRange(tasks, workers, w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fillTasks(&job, policy, root, taskRanks, lo, hi, obs)
+		}()
+	}
+	wg.Wait()
+	return observers, nil
+}
+
+// fillTasks is the fill loop: one worker's tasks [lo, hi), each
+// taskRanks consecutive ranks of one trial starting at stripe
+// task*taskRanks.
+func fillTasks(job *Job, policy dlb.Spec, root *rng.Source, taskRanks, lo, hi int, obs BlockObserver) {
+	cfg, model, sink, progress := job.Config, job.Model, job.Sink, job.Progress
+	// Only a rebalancing balancer reads the finish times; computing them
+	// under static costs about 8% of a static fill at GOMAXPROCS=1.
+	coupled := !policy.IsStatic()
+	var scratch []float64
+	if sink == nil {
+		scratch = make([]float64, cfg.Threads)
+	}
+	finish := make([]float64, taskRanks)
+	writers := make([]*trace.StripeWriter, taskRanks)
+	for task := lo; task < hi; task++ {
+		first := task * taskRanks
+		trial, rank0 := first/cfg.Ranks, first%cfg.Ranks
+		bal := policy.NewBalancer(taskRanks, cfg.Threads)
+		if sink != nil {
+			for r := range writers {
+				writers[r] = sink.Stripe(trial, rank0+r)
+			}
+		}
+		for i := 0; i < cfg.Iterations; i++ {
+			alloc := bal.Alloc(i)
+			lent := 0
+			for r := 0; r < taskRanks; r++ {
+				rank, threads := rank0+r, alloc[r]
+				var start time.Time
+				if progress != nil {
+					start = time.Now()
+				}
+				out := scratch
+				if sink != nil {
+					out = writers[r].AppendWith(func(out []float64) {
+						model.FillProcessIteration(root, trial, rank, i, out)
+						scaleBlock(out, cfg.Threads, threads)
+					})
+				} else {
+					model.FillProcessIteration(root, trial, rank, i, out)
+					scaleBlock(out, cfg.Threads, threads)
+				}
+				if threads != cfg.Threads {
+					lent++
+				}
+				if coupled {
+					finish[r] = blockMax(out)
+				}
+				if obs != nil {
+					obs.ObserveBlock(trial, rank, i, out)
+				}
+				if progress != nil {
+					progress.ObserveFill(len(out), time.Since(start))
+				}
+			}
+			bal.Observe(i, finish)
+			if lent > 0 && progress != nil {
+				progress.ObserveLend(lent)
+			}
+		}
+	}
+}
+
+// RunColumnarDLB fills the study into a fresh sink and returns the
+// sealed columnar store: the compact form the campaign engine caches.
+// The dataset fingerprint is accumulated stripe by stripe during the
+// fill, so Seal pays no second pass over the data. workers <= 0 means
+// GOMAXPROCS. It is a convenience over Fill for callers that want a
+// sealed store; the service benchmark module (servicebench) calls it, so
+// its signature stays fixed.
+func RunColumnarDLB(model workload.Model, cfg Config, policy dlb.Spec, workers int) (*trace.Columnar, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	sink := trace.NewSink(model.Name(), cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads)
-	if _, err := RunStreamObserved(model, cfg, policy, workers, sink, nil, progress); err != nil {
+	if _, err := Fill(Job{Model: model, Config: cfg, Policy: policy, Workers: workers, Sink: sink}); err != nil {
 		return nil, err
 	}
 	return sink.Seal()
 }
 
-// RunStream executes the study as a stream: per-iteration sample blocks
-// are handed to subscribed observers the moment they are produced, and —
-// when sink is nil — discarded immediately afterwards, so a study whose
-// caller only needs aggregates runs in O(workers x threads) live sample
-// memory regardless of geometry. A non-nil sink must match cfg's
-// geometry; its stripes are filled in place (zero copy) rank-by-rank in
-// parallel and the caller seals it afterwards.
-//
-// newObserver, when non-nil, is invoked once per fill worker; each worker
-// feeds its own observer, so observers need no internal locking, and the
-// created observers are returned for the caller to merge. The result is
-// deterministic in cfg.Seed regardless of scheduling because every
-// (trial, rank, iteration) derives its own random stream — but the
-// partition of blocks across observers is scheduling-dependent, so
-// observer state must be merge-order-independent (as the mergeable
-// accumulators in stats and analysis are).
-func RunStream(model workload.Model, cfg Config, workers int, sink *trace.Sink, newObserver func() BlockObserver) ([]BlockObserver, error) {
-	return RunStreamDLB(model, cfg, dlb.Spec{}, workers, sink, newObserver)
-}
-
-// RunStreamDLB is RunStream under a dynamic load-balancing policy.
-//
-// The static policy (the zero Spec) takes the historical fill path —
-// one task per (trial, rank), no cross-rank coupling — and is
-// bit-identical to the pre-DLB runtime. Rebalancing policies couple the
-// ranks of a trial through the balancer: at every iteration boundary the
-// policy sees the trial's per-rank finish times and re-divides the
-// trial's thread budget, and a rank running on alloc threads instead of
-// its base complement has its (fixed-size) sample block scaled by
-// base/alloc — the work-conserving model of running the same work on
-// fewer or more cores. Those policies therefore fill trial-major: one
-// task per trial, iterations in order, every rank of the iteration
-// filled before the balancer decides the next one. Rebalancing is
-// strictly per-trial, so trial-sharded federation remains exact under
-// any policy, and determinism in cfg.Seed is preserved because the RNG
-// coordinates of every sample block are unchanged — only the
-// deterministic post-scale differs.
+// RunStreamDLB is Fill without a progress sink. It stays as a forward
+// with a fixed signature because the service benchmark module
+// (servicebench) calls it; new code should call Fill.
 func RunStreamDLB(model workload.Model, cfg Config, policy dlb.Spec, workers int, sink *trace.Sink, newObserver func() BlockObserver) ([]BlockObserver, error) {
-	return RunStreamObserved(model, cfg, policy, workers, sink, newObserver, nil)
-}
-
-// RunStreamObserved is RunStreamDLB with an optional live progress sink
-// (see ProgressSink); nil detaches telemetry at zero cost.
-func RunStreamObserved(model workload.Model, cfg Config, policy dlb.Spec, workers int, sink *trace.Sink, newObserver func() BlockObserver, progress ProgressSink) ([]BlockObserver, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	resolved, err := policy.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	if sink != nil {
-		if sink.Trials() != cfg.Trials || sink.Ranks() != cfg.Ranks ||
-			sink.Iterations() != cfg.Iterations || sink.Threads() != cfg.Threads {
-			return nil, fmt.Errorf("cluster: sink geometry %dx%dx%dx%d does not match config %+v",
-				sink.Trials(), sink.Ranks(), sink.Iterations(), sink.Threads(), cfg)
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if resolved.IsStatic() {
-		return runStreamStatic(model, cfg, workers, sink, newObserver, progress)
-	}
-	return runStreamBalanced(model, cfg, resolved, workers, sink, newObserver, progress)
+	return Fill(Job{Model: model, Config: cfg, Policy: policy, Workers: workers, Sink: sink, NewObserver: newObserver})
 }
 
 // stripeRange divides tasks contiguous stripes among workers: worker w
@@ -231,198 +283,6 @@ func RunStreamObserved(model workload.Model, cfg Config, policy dlb.Spec, worker
 // of (tasks, workers) — no channel, no scheduler-dependent hand-off.
 func stripeRange(tasks, workers, w int) (lo, hi int) {
 	return w * tasks / workers, (w + 1) * tasks / workers
-}
-
-// runStreamStatic is the historical fill loop: one task per
-// (trial, rank), blocks produced in iteration order within the task.
-// Workers are stripe-pinned: worker w owns a contiguous range of the
-// trial-major stripe index s = trial*Ranks + rank, fixed up front. The
-// pinning removes the per-stripe channel rendezvous of the historical
-// work queue and makes the block→observer partition deterministic; the
-// samples themselves are unchanged because every (trial, rank,
-// iteration) derives its own random stream regardless of which worker
-// fills it.
-func runStreamStatic(model workload.Model, cfg Config, workers int, sink *trace.Sink, newObserver func() BlockObserver, progress ProgressSink) ([]BlockObserver, error) {
-	root := rng.New(cfg.Seed)
-
-	tasks := cfg.Trials * cfg.Ranks
-	if workers > tasks {
-		workers = tasks
-	}
-	var wg sync.WaitGroup
-	var observers []BlockObserver
-	for w := 0; w < workers; w++ {
-		var obs BlockObserver
-		if newObserver != nil {
-			obs = newObserver()
-			observers = append(observers, obs)
-		}
-		lo, hi := stripeRange(tasks, workers, w)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch []float64
-			if sink == nil {
-				scratch = make([]float64, cfg.Threads)
-			}
-			// The progress==nil loops below replicate the detached fill
-			// byte-for-byte: hoisting the branch keeps the instrumented
-			// variables out of the hot loop's register set, so telemetry
-			// is zero-cost when no sink is attached (the bench gate
-			// holds the line).
-			for s := lo; s < hi; s++ {
-				trial, rank := s/cfg.Ranks, s%cfg.Ranks
-				switch {
-				case sink != nil && progress == nil:
-					sw := sink.Stripe(trial, rank)
-					for i := 0; i < cfg.Iterations; i++ {
-						out := sw.AppendWith(func(out []float64) {
-							model.FillProcessIteration(root, trial, rank, i, out)
-						})
-						if obs != nil {
-							obs.ObserveBlock(trial, rank, i, out)
-						}
-					}
-				case sink == nil && progress == nil:
-					for i := 0; i < cfg.Iterations; i++ {
-						model.FillProcessIteration(root, trial, rank, i, scratch)
-						if obs != nil {
-							obs.ObserveBlock(trial, rank, i, scratch)
-						}
-					}
-				case sink != nil:
-					sw := sink.Stripe(trial, rank)
-					for i := 0; i < cfg.Iterations; i++ {
-						fillStart := time.Now()
-						out := sw.AppendWith(func(out []float64) {
-							model.FillProcessIteration(root, trial, rank, i, out)
-						})
-						if obs != nil {
-							obs.ObserveBlock(trial, rank, i, out)
-						}
-						progress.ObserveFill(len(out), time.Since(fillStart))
-					}
-				default:
-					for i := 0; i < cfg.Iterations; i++ {
-						fillStart := time.Now()
-						model.FillProcessIteration(root, trial, rank, i, scratch)
-						if obs != nil {
-							obs.ObserveBlock(trial, rank, i, scratch)
-						}
-						progress.ObserveFill(len(scratch), time.Since(fillStart))
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return observers, nil
-}
-
-// runStreamBalanced fills trial-major under a resolved non-static
-// policy: each task owns one whole trial (its balancer, its ranks'
-// stripes) and walks iterations in order so the balancer always decides
-// iteration i+1 from iteration i's finishes. Workers are pinned to
-// contiguous trial ranges, like runStreamStatic's stripes; distinct
-// trials still fill concurrently, and within a task the per-stripe
-// append contract of trace.Sink is honoured because a single goroutine
-// owns all of the trial's stripe writers.
-func runStreamBalanced(model workload.Model, cfg Config, policy dlb.Spec, workers int, sink *trace.Sink, newObserver func() BlockObserver, progress ProgressSink) ([]BlockObserver, error) {
-	root := rng.New(cfg.Seed)
-
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-	var wg sync.WaitGroup
-	var observers []BlockObserver
-	for w := 0; w < workers; w++ {
-		var obs BlockObserver
-		if newObserver != nil {
-			obs = newObserver()
-			observers = append(observers, obs)
-		}
-		lo, hi := stripeRange(cfg.Trials, workers, w)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch []float64
-			if sink == nil {
-				scratch = make([]float64, cfg.Threads)
-			}
-			finish := make([]float64, cfg.Ranks)
-			var writers []*trace.StripeWriter
-			// As in runStreamStatic, the progress==nil iteration loop is
-			// the pre-telemetry body verbatim so a detached fill pays
-			// nothing for the hook.
-			for trial := lo; trial < hi; trial++ {
-				bal := policy.NewBalancer(cfg.Ranks, cfg.Threads)
-				if sink != nil {
-					writers = writers[:0]
-					for r := 0; r < cfg.Ranks; r++ {
-						writers = append(writers, sink.Stripe(trial, r))
-					}
-				}
-				if progress == nil {
-					for i := 0; i < cfg.Iterations; i++ {
-						alloc := bal.Alloc(i)
-						for r := 0; r < cfg.Ranks; r++ {
-							t, r, i := trial, r, i
-							var out []float64
-							if sink != nil {
-								out = writers[r].AppendWith(func(out []float64) {
-									model.FillProcessIteration(root, t, r, i, out)
-									scaleBlock(out, cfg.Threads, alloc[r])
-								})
-							} else {
-								model.FillProcessIteration(root, t, r, i, scratch)
-								scaleBlock(scratch, cfg.Threads, alloc[r])
-								out = scratch
-							}
-							finish[r] = blockMax(out)
-							if obs != nil {
-								obs.ObserveBlock(t, r, i, out)
-							}
-						}
-						bal.Observe(i, finish)
-					}
-					continue
-				}
-				for i := 0; i < cfg.Iterations; i++ {
-					alloc := bal.Alloc(i)
-					lent := 0
-					for r := 0; r < cfg.Ranks; r++ {
-						t, r, i := trial, r, i
-						fillStart := time.Now()
-						if alloc[r] != cfg.Threads {
-							lent++
-						}
-						var out []float64
-						if sink != nil {
-							out = writers[r].AppendWith(func(out []float64) {
-								model.FillProcessIteration(root, t, r, i, out)
-								scaleBlock(out, cfg.Threads, alloc[r])
-							})
-						} else {
-							model.FillProcessIteration(root, t, r, i, scratch)
-							scaleBlock(scratch, cfg.Threads, alloc[r])
-							out = scratch
-						}
-						finish[r] = blockMax(out)
-						if obs != nil {
-							obs.ObserveBlock(t, r, i, out)
-						}
-						progress.ObserveFill(len(out), time.Since(fillStart))
-					}
-					bal.Observe(i, finish)
-					if lent > 0 {
-						progress.ObserveLend(lent)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return observers, nil
 }
 
 // scaleBlock applies the work-conserving core-count model: the same
@@ -447,13 +307,4 @@ func blockMax(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// MustRun is Run for known-good configurations; it panics on error.
-func MustRun(model workload.Model, cfg Config) *trace.Dataset {
-	d, err := Run(model, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }

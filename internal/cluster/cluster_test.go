@@ -4,16 +4,25 @@ import (
 	"math"
 	"testing"
 
+	"earlybird/internal/dlb"
 	"earlybird/internal/trace"
 	"earlybird/internal/workload"
 )
 
-func TestRunGeometry(t *testing.T) {
-	cfg := Config{Trials: 2, Ranks: 3, Iterations: 5, Threads: 7, Seed: 9}
-	d, err := Run(workload.DefaultMiniFE(), cfg)
+// mustDataset fills cfg under the static policy into a sealed store and
+// returns its nested view.
+func mustDataset(t *testing.T, model workload.Model, cfg Config, workers int) *trace.Dataset {
+	t.Helper()
+	col, err := RunColumnarDLB(model, cfg, dlb.Spec{}, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return col.Dataset()
+}
+
+func TestRunGeometry(t *testing.T) {
+	cfg := Config{Trials: 2, Ranks: 3, Iterations: 5, Threads: 7, Seed: 9}
+	d := mustDataset(t, workload.DefaultMiniFE(), cfg, 0)
 	if d.App != "minife" {
 		t.Errorf("app = %q", d.App)
 	}
@@ -29,8 +38,8 @@ func TestRunGeometry(t *testing.T) {
 
 func TestRunDeterministicAcrossSchedules(t *testing.T) {
 	cfg := Config{Trials: 3, Ranks: 2, Iterations: 10, Threads: 16, Seed: 42}
-	a := MustRun(workload.DefaultMiniMD(), cfg)
-	b := MustRun(workload.DefaultMiniMD(), cfg)
+	a := mustDataset(t, workload.DefaultMiniMD(), cfg, 0)
+	b := mustDataset(t, workload.DefaultMiniMD(), cfg, 0)
 	as, bs := a.AllSamples(), b.AllSamples()
 	for i := range as {
 		if as[i] != bs[i] {
@@ -43,15 +52,15 @@ func TestRunSeedSensitivity(t *testing.T) {
 	cfg := Config{Trials: 1, Ranks: 1, Iterations: 2, Threads: 8, Seed: 1}
 	cfg2 := cfg
 	cfg2.Seed = 2
-	a := MustRun(workload.DefaultMiniQMC(), cfg)
-	b := MustRun(workload.DefaultMiniQMC(), cfg2)
+	a := mustDataset(t, workload.DefaultMiniQMC(), cfg, 0)
+	b := mustDataset(t, workload.DefaultMiniQMC(), cfg2, 0)
 	if a.AllSamples()[0] == b.AllSamples()[0] {
 		t.Fatal("different seeds produced identical data")
 	}
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(workload.DefaultMiniFE(), Config{}); err == nil {
+	if _, err := Fill(Job{Model: workload.DefaultMiniFE()}); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -67,15 +76,6 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	if cfg.Trials*cfg.Ranks*cfg.Iterations != 16000 {
 		t.Fatal("default config should yield 16000 process iterations")
 	}
-}
-
-func TestMustRunPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustRun(workload.DefaultMiniFE(), Config{Trials: -1})
 }
 
 // countingObserver accumulates a per-worker sample count and sum; merged
@@ -102,7 +102,8 @@ func TestRunStreamObserversSeeEveryBlock(t *testing.T) {
 	model := &workload.MiniFE{}
 	cfg := Config{Trials: 2, Ranks: 3, Iterations: 20, Threads: 16, Seed: 7}
 
-	obs, err := RunStream(model, cfg, 4, nil, func() BlockObserver { return &countingObserver{} })
+	obs, err := Fill(Job{Model: model, Config: cfg, Workers: 4,
+		NewObserver: func() BlockObserver { return &countingObserver{} }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +121,7 @@ func TestRunStreamObserversSeeEveryBlock(t *testing.T) {
 		t.Fatalf("observers saw %d samples, want %d", total.n, want)
 	}
 
-	d, err := RunWorkers(model, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mustDataset(t, model, cfg, 2)
 	exact := 0.0
 	for _, x := range d.AllSamples() {
 		exact += x
@@ -139,14 +137,11 @@ func TestRunStreamObserversSeeEveryBlock(t *testing.T) {
 func TestRunColumnarMatchesRunWorkers(t *testing.T) {
 	model := &workload.MiniMD{}
 	cfg := Config{Trials: 2, Ranks: 2, Iterations: 15, Threads: 8, Seed: 3}
-	col, err := RunColumnar(model, cfg, 3)
+	col, err := RunColumnarDLB(model, cfg, dlb.Spec{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := RunWorkers(model, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mustDataset(t, model, cfg, 1)
 	if col.Fingerprint() != d.Fingerprint() {
 		t.Fatal("columnar and dataset fingerprints differ")
 	}
@@ -161,7 +156,8 @@ func TestRunStreamWithSinkFeedsObserversAndSink(t *testing.T) {
 	model := &workload.MiniQMC{}
 	cfg := Config{Trials: 1, Ranks: 2, Iterations: 10, Threads: 8, Seed: 1}
 	sink := trace.NewSink(model.Name(), cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads)
-	obs, err := RunStream(model, cfg, 2, sink, func() BlockObserver { return &countingObserver{} })
+	obs, err := Fill(Job{Model: model, Config: cfg, Workers: 2, Sink: sink,
+		NewObserver: func() BlockObserver { return &countingObserver{} }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +179,7 @@ func TestRunStreamRejectsMismatchedSink(t *testing.T) {
 	model := &workload.MiniFE{}
 	cfg := Config{Trials: 2, Ranks: 2, Iterations: 4, Threads: 4, Seed: 1}
 	sink := trace.NewSink(model.Name(), 1, 2, 4, 4)
-	if _, err := RunStream(model, cfg, 1, sink, nil); err == nil {
+	if _, err := Fill(Job{Model: model, Config: cfg, Workers: 1, Sink: sink}); err == nil {
 		t.Fatal("expected geometry mismatch error")
 	}
 }

@@ -100,7 +100,7 @@ func (c *blockCounter) ObserveBlock(trial, rank, iter int, times []float64) {
 }
 
 // TestLeWIStreamDeliversEveryBlockOnce: under LeWI rebalancing,
-// RunStream must hand every (trial, rank, iteration) block to exactly
+// Fill must hand every (trial, rank, iteration) block to exactly
 // one observer exactly once — the rebalancing path must not drop,
 // duplicate or resize blocks. Run with -race this also exercises the
 // trial-major path's goroutine safety.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"earlybird/internal/dlb"
+	"earlybird/internal/trace"
 	"earlybird/internal/workload"
 )
 
@@ -26,6 +27,16 @@ func (s *countingSink) ObserveFill(n int, busy time.Duration) {
 }
 
 func (s *countingSink) ObserveLend(n int) { s.lends.Add(int64(n)) }
+
+// fillObserved fills into a sealed store with a progress sink attached,
+// as the campaign engine does.
+func fillObserved(model workload.Model, cfg Config, policy dlb.Spec, workers int, progress ProgressSink) (*trace.Columnar, error) {
+	sink := trace.NewSink(model.Name(), cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads)
+	if _, err := Fill(Job{Model: model, Config: cfg, Policy: policy, Workers: workers, Sink: sink, Progress: progress}); err != nil {
+		return nil, err
+	}
+	return sink.Seal()
+}
 
 // TestProgressSinkDoesNotPerturbFill pins the telemetry no-perturbation
 // contract: a fill with a progress sink attached produces bit-identical
@@ -54,7 +65,7 @@ func TestProgressSinkDoesNotPerturbFill(t *testing.T) {
 					t.Fatal(err)
 				}
 				sink := &countingSink{}
-				attached, err := RunColumnarObserved(model, cfg, policy, 4, sink)
+				attached, err := fillObserved(model, cfg, policy, 4, sink)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +106,7 @@ func TestProgressSinkDoesNotPerturbFill(t *testing.T) {
 // observe at least one lend event.
 func TestProgressSinkSeesLendEvents(t *testing.T) {
 	sink := &countingSink{}
-	if _, err := RunColumnarObserved(workload.DefaultMiniFE(), SmallConfig(), dlb.Spec{Policy: dlb.PolicyLeWI}, 2, sink); err != nil {
+	if _, err := fillObserved(workload.DefaultMiniFE(), SmallConfig(), dlb.Spec{Policy: dlb.PolicyLeWI}, 2, sink); err != nil {
 		t.Fatal(err)
 	}
 	if sink.lends.Load() == 0 {

@@ -44,12 +44,12 @@ func TestStreamPooledScratchNoAliasing(t *testing.T) {
 		rec := blockRecorder{cfg: cfg, blocks: make([][]float64, cfg.Trials*cfg.Ranks*cfg.Iterations)}
 		var mu sync.Mutex
 		handed := 0
-		_, err := RunStream(model, cfg, workers, nil, func() BlockObserver {
+		_, err := Fill(Job{Model: model, Config: cfg, Workers: workers, NewObserver: func() BlockObserver {
 			mu.Lock()
 			handed++
 			mu.Unlock()
 			return &rec
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

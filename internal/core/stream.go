@@ -88,17 +88,18 @@ func streamRun(opts Options, withTable1, withSummary bool) (*StreamResult, error
 	}
 	newObs := func() cluster.BlockObserver {
 		o := &streamObserver{
-			metrics: analysis.NewMetricsAccumulator(opts.Model.Name(), opts.LaggardThresholdSec),
+			metrics: analysis.NewMetricsAccumulator(opts.Model.Name(), opts.Policy.LaggardThresholdSec),
 		}
 		if withTable1 {
-			o.table1 = analysis.NewTable1Accumulator(opts.Model.Name(), opts.Alpha)
+			o.table1 = analysis.NewTable1Accumulator(opts.Model.Name(), opts.Policy.Alpha)
 		}
 		if withSummary {
 			o.sketch = stats.NewQuantileSketch(0)
 		}
 		return o
 	}
-	observers, err := cluster.RunStreamObserved(opts.Model, opts.Geometry, opts.Policy.DLB, 0, nil, newObs, opts.Progress)
+	observers, err := cluster.Fill(cluster.Job{Model: opts.Model, Config: opts.Geometry,
+		Policy: opts.Policy.DLB, NewObserver: newObs, Progress: opts.Progress})
 	if err != nil {
 		return nil, err
 	}

@@ -55,26 +55,9 @@ type Options struct {
 	// Geometry is the study size; zero value means the paper's
 	// 10 x 8 x 200 x 48.
 	Geometry cluster.Config
-	// Policy bundles the study's policy axes. Zero fields inherit the
-	// matching deprecated flat field below, then the paper defaults, so
-	// both spellings keep working; on conflict Policy wins.
+	// Policy bundles the study's policy axes; zero fields fill with the
+	// paper defaults.
 	Policy PolicySpec
-
-	// Alpha is the normality significance level; zero means 5%.
-	//
-	// Deprecated: set Policy.Alpha. Kept as an adapter for pre-PolicySpec
-	// callers.
-	Alpha float64
-	// LaggardThresholdSec is the laggard rule; zero means 1 ms.
-	//
-	// Deprecated: set Policy.LaggardThresholdSec.
-	LaggardThresholdSec float64
-	// Strategies overrides the delivery-strategy set Feasibility
-	// evaluates; nil means the paper's three (bulk, fine-grained, binned
-	// at the assessment's timeout).
-	//
-	// Deprecated: set Policy.Strategies.
-	Strategies []partcomm.Strategy
 
 	// Progress, when non-nil, receives live fill telemetry from the
 	// study's generation (see cluster.ProgressSink and
@@ -83,20 +66,9 @@ type Options struct {
 	Progress cluster.ProgressSink
 }
 
-// fillPolicy merges the deprecated flat fields into Policy, applies the
-// paper defaults, canonicalises the DLB spec and clones stateful
-// strategies, then mirrors the resolved values back onto the flat
-// fields so either spelling reads the same after resolution.
+// fillPolicy applies the paper defaults to Policy, canonicalises the DLB
+// spec and clones stateful strategies.
 func (o *Options) fillPolicy() error {
-	if o.Policy.Alpha == 0 {
-		o.Policy.Alpha = o.Alpha
-	}
-	if o.Policy.LaggardThresholdSec == 0 {
-		o.Policy.LaggardThresholdSec = o.LaggardThresholdSec
-	}
-	if o.Policy.Strategies == nil {
-		o.Policy.Strategies = o.Strategies
-	}
 	if o.Policy.Alpha == 0 {
 		o.Policy.Alpha = normality.DefaultAlpha
 	}
@@ -112,9 +84,6 @@ func (o *Options) fillPolicy() error {
 	// across concurrent studies; cloning here makes one Options value
 	// safe to reuse however the caller likes.
 	o.Policy.Strategies = partcomm.CloneSet(o.Policy.Strategies)
-	o.Alpha = o.Policy.Alpha
-	o.LaggardThresholdSec = o.Policy.LaggardThresholdSec
-	o.Strategies = o.Policy.Strategies
 	return nil
 }
 
@@ -147,11 +116,11 @@ func NewStudy(opts Options) (*Study, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	ds, err := cluster.RunDLB(opts.Model, opts.Geometry, opts.Policy.DLB)
+	col, err := cluster.RunColumnarDLB(opts.Model, opts.Geometry, opts.Policy.DLB, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Study{opts: opts, ds: ds}, nil
+	return &Study{opts: opts, ds: col.Dataset()}, nil
 }
 
 // FromDataset wraps an existing dataset (for example, read back from
@@ -188,7 +157,7 @@ func (s *Study) App() string { return s.ds.App }
 
 // Metrics computes the Section 4.2 scalar metrics.
 func (s *Study) Metrics() analysis.AppMetrics {
-	return analysis.ComputeMetrics(s.ds, s.opts.LaggardThresholdSec)
+	return analysis.ComputeMetrics(s.ds, s.opts.Policy.LaggardThresholdSec)
 }
 
 // MetricsStreaming computes the same scalars as Metrics in a single
@@ -197,24 +166,24 @@ func (s *Study) Metrics() analysis.AppMetrics {
 // being sketch estimates (see analysis.ComputeMetricsStreaming). The
 // exact path stays available as Metrics.
 func (s *Study) MetricsStreaming() analysis.AppMetrics {
-	return analysis.ComputeMetricsStreaming(s.ds.App, s.ds.Cursor(), s.opts.LaggardThresholdSec)
+	return analysis.ComputeMetricsStreaming(s.ds.App, s.ds.Cursor(), s.opts.Policy.LaggardThresholdSec)
 }
 
 // Table1Streaming computes the Table 1 row via the dataset's cursor; the
 // result is identical to Table1 (the normality battery always runs per
 // complete process iteration) without materialising sample slices.
 func (s *Study) Table1Streaming() analysis.Table1 {
-	return analysis.Table1Streaming(s.ds.App, s.ds.Cursor(), s.opts.Alpha)
+	return analysis.Table1Streaming(s.ds.App, s.ds.Cursor(), s.opts.Policy.Alpha)
 }
 
 // Table1 computes the study's process-iteration normality row.
 func (s *Study) Table1() analysis.Table1 {
-	return analysis.Table1Row(s.ds, s.opts.Alpha)
+	return analysis.Table1Row(s.ds, s.opts.Policy.Alpha)
 }
 
 // Laggards classifies the study's process iterations.
 func (s *Study) Laggards() analysis.LaggardStats {
-	return analysis.Laggards(s.ds, s.opts.LaggardThresholdSec)
+	return analysis.Laggards(s.ds, s.opts.Policy.LaggardThresholdSec)
 }
 
 // Percentiles computes the per-iteration percentile series (the paper's
@@ -312,7 +281,7 @@ type Assessment struct {
 // symmetric rather than a straggling tail.
 func (s *Study) Feasibility(bytesPerPart int, fabric network.Fabric, binTimeoutSec float64) Assessment {
 	m := s.Metrics()
-	effThreshold := s.opts.LaggardThresholdSec
+	effThreshold := s.opts.Policy.LaggardThresholdSec
 	if t := 3 * m.IQRMeanSec; t > effThreshold {
 		effThreshold = t
 	}
@@ -345,7 +314,7 @@ func (s *Study) Feasibility(bytesPerPart int, fabric network.Fabric, binTimeoutS
 // measured laggard statistics.
 func (s *Study) StrategySweep(bytesPerPart int, fabric network.Fabric, strategies []partcomm.Strategy) partcomm.Sweep {
 	if strategies == nil {
-		lag := analysis.LaggardsStream(s.ds.Cursor(), s.opts.LaggardThresholdSec)
+		lag := analysis.LaggardsStream(s.ds.Cursor(), s.opts.Policy.LaggardThresholdSec)
 		strategies = partcomm.Grid(DefaultStrategyTimeoutsSec(), DefaultStrategyEWMAAlphas(), lag)
 	}
 	return partcomm.SweepCursor(s.ds.Cursor(), bytesPerPart, fabric, strategies)

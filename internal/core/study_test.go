@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"earlybird/internal/cluster"
+	"earlybird/internal/dlb"
 	"earlybird/internal/network"
 	"earlybird/internal/trace"
 	"earlybird/internal/workload"
@@ -194,8 +195,12 @@ func TestFeasibilitySyntheticBoundaries(t *testing.T) {
 }
 
 func TestFromDatasetWith(t *testing.T) {
-	d := cluster.MustRun(workload.DefaultMiniFE(), quickGeom)
-	loose, err := FromDatasetWith(d, Options{Alpha: 0.01, LaggardThresholdSec: 5e-3})
+	col, err := cluster.RunColumnarDLB(workload.DefaultMiniFE(), quickGeom, dlb.Spec{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := col.Dataset()
+	loose, err := FromDatasetWith(d, Options{Policy: PolicySpec{Alpha: 0.01, LaggardThresholdSec: 5e-3}})
 	if err != nil {
 		t.Fatal(err)
 	}

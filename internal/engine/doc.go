@@ -21,5 +21,5 @@
 // This is the batch substrate behind internal/experiments, cmd/repro,
 // cmd/analyze, the earlybird.RunCampaign facade and the internal/serve
 // study service — the outer level of parallelism over whole studies,
-// above cluster.Run's inner level over one study's trials and ranks.
+// above cluster.Fill's inner level over one study's trials and ranks.
 package engine

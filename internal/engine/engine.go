@@ -163,24 +163,20 @@ func (e *Engine) trimLocked() {
 	}
 }
 
-// Dataset returns the dataset for (model, geometry), generating it on
-// first request and serving every later — or concurrent — request from
-// the cache. The second return reports whether this call was served from
-// cache without triggering the generation. Callers must not mutate the
-// returned dataset.
-func (e *Engine) Dataset(model workload.Model, geom cluster.Config) (*trace.Dataset, bool, error) {
-	return e.dataset(model, geom, dlb.Spec{}, 1)
-}
-
-// DatasetDLB is Dataset under a rebalancing policy; each distinct
-// resolved policy is its own cache entry.
+// DatasetDLB returns the dataset for (model, geometry) under a
+// rebalancing policy, generating it on first request and serving every
+// later — or concurrent — request from the cache; each distinct resolved
+// policy is its own cache entry. The second return reports whether this
+// call was served from cache without triggering the generation. Callers
+// must not mutate the returned dataset.
 func (e *Engine) DatasetDLB(model workload.Model, geom cluster.Config, policy dlb.Spec) (*trace.Dataset, bool, error) {
 	return e.dataset(model, geom, policy, 1)
 }
 
-// Columnar is Dataset in the cache's native form: the flat columnar store
-// streaming consumers read through cursors, without ever building the
-// nested view. Callers must not mutate the returned store.
+// Columnar is DatasetDLB under the static policy, in the cache's native
+// form: the flat columnar store streaming consumers read through
+// cursors, without ever building the nested view. Callers must not
+// mutate the returned store.
 func (e *Engine) Columnar(model workload.Model, geom cluster.Config) (*trace.Columnar, bool, error) {
 	return e.ColumnarDLB(model, geom, dlb.Spec{})
 }
@@ -194,14 +190,10 @@ func (e *Engine) ColumnarDLB(model workload.Model, geom cluster.Config, policy d
 	return entry.col, hit, nil
 }
 
-// Prefetch generates the datasets of several models at one geometry
-// concurrently — dataset generation only, no analysis — dividing the
-// machine fairly between them. Already-cached datasets cost nothing.
-func (e *Engine) Prefetch(models []workload.Model, geom cluster.Config) error {
-	return e.PrefetchDLB(models, geom, dlb.Spec{})
-}
-
-// PrefetchDLB is Prefetch under a rebalancing policy.
+// PrefetchDLB generates the datasets of several models at one geometry
+// and policy concurrently — dataset generation only, no analysis —
+// dividing the machine fairly between them. Already-cached datasets
+// cost nothing.
 func (e *Engine) PrefetchDLB(models []workload.Model, geom cluster.Config, policy dlb.Spec) error {
 	concurrent := e.workers
 	if concurrent > len(models) {
@@ -223,8 +215,8 @@ func (e *Engine) PrefetchDLB(models []workload.Model, geom cluster.Config, polic
 	return errors.Join(errs...)
 }
 
-// dataset is Dataset with an expected-concurrency hint from callers that
-// know their fan-out up front (campaigns, Prefetch), so every generation
+// dataset is DatasetDLB with an expected-concurrency hint from callers
+// that know their fan-out up front (campaigns, PrefetchDLB), so every generation
 // in a batch gets its fair share of CPUs from the start instead of early
 // starters over-allocating.
 func (e *Engine) dataset(model workload.Model, geom cluster.Config, policy dlb.Spec, hint int) (*trace.Dataset, bool, error) {
@@ -246,6 +238,9 @@ func (e *Engine) dataset(model workload.Model, geom cluster.Config, policy dlb.S
 func (e *Engine) entry(model workload.Model, geom cluster.Config, policy dlb.Spec, hint int) (*cacheEntry, bool, error) {
 	policy, err := policy.Resolve()
 	if err != nil {
+		return nil, false, err
+	}
+	if err := geom.Validate(); err != nil {
 		return nil, false, err
 	}
 	key := Key{Model: model.Name(), Geometry: geom, DLB: policy}
@@ -274,21 +269,26 @@ func (e *Engine) entry(model workload.Model, geom cluster.Config, policy dlb.Spe
 		if hint > concurrent {
 			concurrent = hint
 		}
-		var sink cluster.ProgressSink
+		var progress cluster.ProgressSink
 		if f := e.progressFactory(); f != nil {
 			var done func()
-			sink, done = f(model.Name(), geom, key.DLB)
+			progress, done = f(model.Name(), geom, key.DLB)
 			if done != nil {
 				defer done()
 			}
 		}
-		entry.col, entry.err = cluster.RunColumnarObserved(model, geom, key.DLB, e.innerWorkers(concurrent), sink)
+		sink := trace.NewSink(model.Name(), geom.Trials, geom.Ranks, geom.Iterations, geom.Threads)
+		_, entry.err = cluster.Fill(cluster.Job{Model: model, Config: geom, Policy: key.DLB,
+			Workers: e.innerWorkers(concurrent), Sink: sink, Progress: progress})
+		if entry.err == nil {
+			entry.col, entry.err = sink.Seal()
+		}
 	})
 	return entry, hit, entry.err
 }
 
 // innerWorkers divides the CPUs between concurrent generations so a lone
-// Dataset call still uses the whole machine while a fan-out of N studies
+// DatasetDLB call still uses the whole machine while a fan-out of N studies
 // does not run N x GOMAXPROCS fill goroutines.
 func (e *Engine) innerWorkers(concurrent int) int {
 	if concurrent < 1 {

@@ -7,6 +7,7 @@ import (
 
 	"earlybird/internal/cluster"
 	"earlybird/internal/core"
+	"earlybird/internal/dlb"
 	"earlybird/internal/rng"
 	"earlybird/internal/workload"
 )
@@ -35,14 +36,14 @@ func TestDatasetCacheSingleExecution(t *testing.T) {
 	m := &countingModel{Model: workload.DefaultMiniFE()}
 	geom := testGeom(7)
 
-	first, hit1, err := e.Dataset(m, geom)
+	first, hit1, err := e.DatasetDLB(m, geom, dlb.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit1 {
 		t.Error("first request reported a cache hit")
 	}
-	second, hit2, err := e.Dataset(m, geom)
+	second, hit2, err := e.DatasetDLB(m, geom, dlb.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestDatasetCacheSingleExecution(t *testing.T) {
 	fillsAfterTwo := m.fills.Load()
 
 	// A distinct seed is a distinct content address.
-	other, hit3, err := e.Dataset(m, testGeom(8))
+	other, hit3, err := e.DatasetDLB(m, testGeom(8), dlb.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestDatasetCacheConcurrentSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ds, _, err := e.Dataset(m, geom)
+			ds, _, err := e.DatasetDLB(m, geom, dlb.Spec{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -231,7 +232,11 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestCampaignPreloadedDatasetAndErrors(t *testing.T) {
 	e := New(2)
-	ds := cluster.MustRun(workload.DefaultMiniQMC(), testGeom(9))
+	col, err := cluster.RunColumnarDLB(workload.DefaultMiniQMC(), testGeom(9), dlb.Spec{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := col.Dataset()
 	results, err := e.Run(Campaign{Specs: []Spec{
 		{Dataset: ds},
 		{App: "no-such-app"},
@@ -277,7 +282,7 @@ func TestColumnarSharesCacheWithDataset(t *testing.T) {
 	if hit {
 		t.Fatal("first Columnar call reported a cache hit")
 	}
-	ds, hit, err := e.Dataset(model, geom)
+	ds, hit, err := e.DatasetDLB(model, geom, dlb.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +301,7 @@ func TestColumnarSharesCacheWithDataset(t *testing.T) {
 	}
 
 	// Repeated Dataset calls return the same lazily built view.
-	ds2, _, err := e.Dataset(model, geom)
+	ds2, _, err := e.DatasetDLB(model, geom, dlb.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"earlybird/internal/dlb"
 	"earlybird/internal/workload"
 )
 
@@ -11,14 +12,14 @@ func TestSetMaxDatasetsEvictsLRU(t *testing.T) {
 	m := workload.DefaultMiniFE()
 	g1, g2, g3 := testGeom(1), testGeom(2), testGeom(3)
 
-	if _, _, err := e.Dataset(m, g1); err != nil {
+	if _, _, err := e.DatasetDLB(m, g1, dlb.Spec{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Dataset(m, g2); err != nil {
+	if _, _, err := e.DatasetDLB(m, g2, dlb.Spec{}); err != nil {
 		t.Fatal(err)
 	}
 	// Touch g1 so g2 becomes the LRU entry.
-	if _, hit, err := e.Dataset(m, g1); err != nil || !hit {
+	if _, hit, err := e.DatasetDLB(m, g1, dlb.Spec{}); err != nil || !hit {
 		t.Fatalf("touching g1: hit=%v err=%v", hit, err)
 	}
 
@@ -28,7 +29,7 @@ func TestSetMaxDatasetsEvictsLRU(t *testing.T) {
 	}
 
 	// A third dataset must push out g2 (least recently used), not g1.
-	if _, _, err := e.Dataset(m, g3); err != nil {
+	if _, _, err := e.DatasetDLB(m, g3, dlb.Spec{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.CachedDatasets(); got != 2 {
@@ -37,13 +38,13 @@ func TestSetMaxDatasetsEvictsLRU(t *testing.T) {
 	if got := e.EvictedDatasets(); got != 1 {
 		t.Errorf("evictions = %d, want 1", got)
 	}
-	if _, hit, err := e.Dataset(m, g1); err != nil || !hit {
+	if _, hit, err := e.DatasetDLB(m, g1, dlb.Spec{}); err != nil || !hit {
 		t.Errorf("g1 should have survived eviction: hit=%v err=%v", hit, err)
 	}
 
 	// g2 was evicted: requesting it again regenerates.
 	before := e.Executions()
-	if _, hit, err := e.Dataset(m, g2); err != nil || hit {
+	if _, hit, err := e.DatasetDLB(m, g2, dlb.Spec{}); err != nil || hit {
 		t.Errorf("evicted g2 should regenerate: hit=%v err=%v", hit, err)
 	}
 	if got := e.Executions(); got != before+1 {
@@ -55,7 +56,7 @@ func TestSetMaxDatasetsTrimsExisting(t *testing.T) {
 	e := New(2)
 	m := workload.DefaultMiniFE()
 	for seed := uint64(1); seed <= 3; seed++ {
-		if _, _, err := e.Dataset(m, testGeom(seed)); err != nil {
+		if _, _, err := e.DatasetDLB(m, testGeom(seed), dlb.Spec{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +129,7 @@ func TestNestedViewsStayZeroOnColumnarPath(t *testing.T) {
 	if got := e.NestedViews(); got != 0 {
 		t.Errorf("nested views = %d after columnar-only access, want 0", got)
 	}
-	if _, _, err := e.Dataset(m, testGeom(9)); err != nil {
+	if _, _, err := e.DatasetDLB(m, testGeom(9), dlb.Spec{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.NestedViews(); got != 1 {

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"earlybird/internal/cluster"
+	"earlybird/internal/dlb"
 	"earlybird/internal/partcomm"
 	"earlybird/internal/workload"
 )
@@ -78,7 +79,7 @@ func (s *Suite) DistSweep(cfg DistSweepConfig) map[string][]DistPoint {
 	// distinct sweep points get distinct cache entries while repeated
 	// sweeps over one suite are served from cache.
 	evalModel := func(m workload.Model, param float64, label string) DistPoint {
-		d, _, err := s.eng.Dataset(m, cfg.Geometry)
+		d, _, err := s.eng.DatasetDLB(m, cfg.Geometry, dlb.Spec{})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: distsweep %s: %v", label, err))
 		}

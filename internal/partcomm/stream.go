@@ -2,7 +2,7 @@
 // materialised Evaluate path. A StrategyAccumulator folds one process
 // iteration at a time — sorting the arrivals into a reused scratch
 // buffer, never retaining the block — so delivery strategies evaluate
-// straight off a trace.Cursor (or a cluster.RunStream observer) without
+// straight off a trace.Cursor (or a cluster.Fill observer) without
 // the nested tensor view ever being built. The campaign engine's
 // NestedViews counter stays at zero on this path.
 

@@ -139,8 +139,8 @@ func (req ShardRequest) resolve() (ShardRequest, error) {
 // deterministic cursor (hot for repeated cells routed to this worker);
 // larger shards generate and fold one trial at a time, uncached — still
 // through a columnar cursor, because the exactness contract demands a
-// deterministic observation order per trial (a multi-observer RunStream
-// would split a trial's ranks across workers scheduling-dependently and
+// deterministic observation order per trial (a multi-observer
+// cluster.Fill would split a trial's ranks across worker observers and
 // shift the low-order bits). Memory on that path is bounded by one
 // trial's tensor, not the shard's.
 func (s *Server) runShard(req ShardRequest) (ShardResponse, error) {

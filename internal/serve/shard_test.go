@@ -9,6 +9,7 @@ import (
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
 	"earlybird/internal/core"
+	"earlybird/internal/dlb"
 	"earlybird/internal/workload"
 )
 
@@ -128,7 +129,7 @@ func TestShardOffsetGenerationMatchesFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := cluster.RunColumnar(model, geom, 0)
+	col, err := cluster.RunColumnarDLB(model, geom, dlb.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

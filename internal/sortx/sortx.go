@@ -35,8 +35,10 @@ package sortx
 
 import "slices"
 
+//go:generate go run gen_networks.go
+
 // networkMax is the largest n with an unrolled network; sortMid chunks
-// by this width.
+// by this width. gen_networks.go holds the same bound.
 const networkMax = 32
 
 // midMax is the largest n routed to the chunked network merge; above it

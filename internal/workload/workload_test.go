@@ -6,10 +6,22 @@ import (
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
+	"earlybird/internal/dlb"
 	"earlybird/internal/rng"
 	"earlybird/internal/stats/normality"
+	"earlybird/internal/trace"
 	"earlybird/internal/workload"
 )
+
+// mustFill generates cfg's dataset for m under the static policy.
+func mustFill(t *testing.T, m workload.Model, cfg cluster.Config) *trace.Dataset {
+	t.Helper()
+	col, err := cluster.RunColumnarDLB(m, cfg, dlb.Spec{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col.Dataset()
+}
 
 // calCfg is large enough for stable rate estimates (1600 process
 // iterations) while keeping the suite fast.
@@ -60,7 +72,7 @@ func TestModelNames(t *testing.T) {
 }
 
 func TestMiniFECalibration(t *testing.T) {
-	d := cluster.MustRun(workload.DefaultMiniFE(), calCfg)
+	d := mustFill(t, workload.DefaultMiniFE(), calCfg)
 	m := analysis.ComputeMetrics(d, analysis.DefaultLaggardThresholdSec)
 
 	// Paper Section 4.2.1 targets.
@@ -85,7 +97,7 @@ func TestMiniFECalibration(t *testing.T) {
 
 func TestMiniMDCalibration(t *testing.T) {
 	md := workload.DefaultMiniMD()
-	d := cluster.MustRun(md, calCfg)
+	d := mustFill(t, md, calCfg)
 
 	// Phase structure (Section 4.2.2): the first nineteen iterations are
 	// much wider than the remainder.
@@ -115,7 +127,7 @@ func TestMiniMDCalibration(t *testing.T) {
 }
 
 func TestMiniQMCCalibration(t *testing.T) {
-	d := cluster.MustRun(workload.DefaultMiniQMC(), calCfg)
+	d := mustFill(t, workload.DefaultMiniQMC(), calCfg)
 	m := analysis.ComputeMetrics(d, analysis.DefaultLaggardThresholdSec)
 
 	inBand(t, "mean median (s)", m.MeanMedianSec, 59e-3, 63e-3)               // 60.91 ms
@@ -151,7 +163,7 @@ func TestApplicationIterationRejection(t *testing.T) {
 	for _, m := range []workload.Model{
 		workload.DefaultMiniFE(), workload.DefaultMiniMD(), workload.DefaultMiniQMC(),
 	} {
-		d := cluster.MustRun(m, cluster.Config{Trials: 4, Ranks: 8, Iterations: 50, Threads: 48, Seed: 5})
+		d := mustFill(t, m, cluster.Config{Trials: 4, Ranks: 8, Iterations: 50, Threads: 48, Seed: 5})
 		s := analysis.ApplicationIterationNormality(d, normality.DefaultAlpha)
 		for _, test := range normality.Tests {
 			// At this reduced geometry (1536 samples per iteration vs the
@@ -169,7 +181,7 @@ func TestApplicationLevelRejection(t *testing.T) {
 	for _, m := range []workload.Model{
 		workload.DefaultMiniFE(), workload.DefaultMiniMD(), workload.DefaultMiniQMC(),
 	} {
-		d := cluster.MustRun(m, cluster.SmallConfig())
+		d := mustFill(t, m, cluster.SmallConfig())
 		res := analysis.ApplicationLevelNormality(d, normality.DefaultAlpha)
 		for _, r := range res {
 			if !r.RejectNormal {
@@ -184,7 +196,7 @@ func TestGenericNormalModel(t *testing.T) {
 	if m.Name() != "norm" {
 		t.Fatal("name")
 	}
-	d := cluster.MustRun(m, cluster.Config{Trials: 2, Ranks: 2, Iterations: 50, Threads: 48, Seed: 2})
+	d := mustFill(t, m, cluster.Config{Trials: 2, Ranks: 2, Iterations: 50, Threads: 48, Seed: 2})
 	t1 := analysis.Table1Row(d, normality.DefaultAlpha)
 	for _, test := range normality.Tests {
 		if t1.PassRates[test] < 0.85 {
@@ -207,7 +219,7 @@ func TestGenericUniformModelBounds(t *testing.T) {
 
 func TestSingleLaggardModel(t *testing.T) {
 	m := &workload.SingleLaggardModel{AppName: "lag", MedianSec: 20e-3, JitterSec: 0.01e-3, LagSec: 5e-3}
-	d := cluster.MustRun(m, cluster.Config{Trials: 1, Ranks: 2, Iterations: 40, Threads: 48, Seed: 3})
+	d := mustFill(t, m, cluster.Config{Trials: 1, Ranks: 2, Iterations: 40, Threads: 48, Seed: 3})
 	st := analysis.Laggards(d, analysis.DefaultLaggardThresholdSec)
 	if st.Fraction != 1 {
 		t.Fatalf("single-laggard model laggard fraction = %v, want 1", st.Fraction)
