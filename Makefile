@@ -9,7 +9,7 @@ GO ?= go
 # climbs, never lower it).
 COVER_FLOOR ?= 80.0
 
-.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts bench bench-json bench-gate bench-baseline bench-vet generate-check profile lint fmt docs-check cover fuzz-smoke clean-store
+.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts bench bench-json bench-gate bench-baseline bench-vet bench-test generate-check profile lint fmt docs-check cover fuzz-smoke clean-store
 
 all: build lint docs-check test
 
@@ -107,6 +107,13 @@ bench-baseline:
 # root `go build ./...` skips: an API change that breaks it fails here.
 bench-vet:
 	cd servicebench && $(GO) vet ./...
+
+# The service benchmark's own tests: every workload at quick geometry,
+# including study-cold's bit-for-bit check of each reply against a
+# fresh engine.RunSpec, which otherwise runs only when someone
+# benchmarks by hand.
+bench-test:
+	cd servicebench && $(GO) test ./...
 
 # Regenerate the sortx sorting networks and fail if the checked-in
 # networks.go is not exactly its generator's output.

@@ -327,3 +327,57 @@ func BenchmarkStudyStreamingHuge(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStudyCold splits one cold study at the paper's geometry into
+// the layers a cold POST /v1/study pays for, in the order the service
+// runs them: generating the dataset, then the exact Section 4.2 metrics,
+// the Table 1 normality row and the Section 5 feasibility assessment.
+// Each analysis layer runs on a fresh Study over one shared dataset;
+// feasibility is timed after the study's metrics were computed, as the
+// service computes them first. Run with -benchmem: the B/op column
+// tracks how much each layer allocates per study.
+func BenchmarkStudyCold(b *testing.B) {
+	b.Run("dataset", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := earlybird.NewStudy(earlybird.Options{App: "minife"}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	s, err := earlybird.NewStudy(earlybird.Options{App: "minife"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := s.Dataset()
+	layers := []struct {
+		name   string
+		before func(*earlybird.Study)
+		run    func(*earlybird.Study)
+	}{
+		{name: "metrics", run: func(s *earlybird.Study) { s.Metrics() }},
+		{name: "table1", run: func(s *earlybird.Study) { s.Table1() }},
+		{
+			name:   "feasibility",
+			before: func(s *earlybird.Study) { s.Metrics() },
+			run:    func(s *earlybird.Study) { s.Feasibility(1<<20, network.OmniPath(), 1e-3) },
+		},
+	}
+	for _, l := range layers {
+		b.Run(l.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh, err := earlybird.FromDataset(ds)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if l.before != nil {
+					l.before(fresh)
+				}
+				b.StartTimer()
+				l.run(fresh)
+			}
+		})
+	}
+}

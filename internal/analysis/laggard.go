@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"math"
+
 	"earlybird/internal/sortx"
 	"earlybird/internal/stats"
 	"earlybird/internal/trace"
@@ -15,7 +17,37 @@ const DefaultLaggardThresholdSec = 1e-3
 // HasLaggard reports whether the latest arrival exceeds the median by
 // more than threshold seconds.
 func HasLaggard(xs []float64, threshold float64) bool {
-	return stats.Max(xs)-stats.Median(xs) > threshold
+	var bs blockSorter
+	return bs.hasLaggard(xs, threshold)
+}
+
+// blockSorter is the per-block kernel of every exact max/median
+// consumer: it copies a process iteration into one reused scratch and
+// sorts it there, so a pass over a dataset allocates once instead of
+// once per block. The zero value is ready to use.
+type blockSorter struct{ buf []float64 }
+
+// sort returns a sorted copy of xs, valid until the next call.
+func (b *blockSorter) sort(xs []float64) []float64 {
+	b.buf = append(b.buf[:0], xs...)
+	sortx.Sort(b.buf)
+	return b.buf
+}
+
+// maxMedian returns the latest arrival and the median of xs (NaN for an
+// empty block, as stats.Max and stats.Median return).
+func (b *blockSorter) maxMedian(xs []float64) (max, med float64) {
+	if len(xs) == 0 {
+		return math.NaN(), math.NaN()
+	}
+	s := b.sort(xs)
+	return s[len(s)-1], stats.PercentileSorted(s, 50)
+}
+
+// hasLaggard is HasLaggard on the reused scratch.
+func (b *blockSorter) hasLaggard(xs []float64, threshold float64) bool {
+	max, med := b.maxMedian(xs)
+	return max-med > threshold
 }
 
 // LaggardStats summarises laggard occurrence over all process iterations
@@ -40,47 +72,21 @@ func Laggards(d *trace.Dataset, threshold float64) LaggardStats {
 // LaggardsInRange classifies process iterations with iteration index in
 // [fromIter, toIter) — used to analyse MiniMD's two phases separately.
 func LaggardsInRange(d *trace.Dataset, threshold float64, fromIter, toIter int) LaggardStats {
-	var st LaggardStats
-	magSum := 0.0
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
-		if iter < fromIter || iter >= toIter {
-			return
-		}
-		st.Total++
-		mag := stats.Max(xs) - stats.Median(xs)
-		if mag > threshold {
-			st.WithLaggard++
-			magSum += mag
-		}
-	})
-	if st.Total > 0 {
-		st.Fraction = float64(st.WithLaggard) / float64(st.Total)
-	}
-	if st.WithLaggard > 0 {
-		st.MeanMagnitudeSec = magSum / float64(st.WithLaggard)
-	}
-	return st
+	return LaggardsStream(d.CursorRange(fromIter, toIter), threshold)
 }
 
 // LaggardsStream classifies every process iteration yielded by the
-// cursor — the cursor-native counterpart of Laggards, with identical
-// results (each block is a complete iteration when observed) and
-// O(threads) live memory. Strategy-lab consumers use it to tune
-// laggard-aware delivery without materialising the nested view.
+// cursor in O(threads) live memory. Strategy-lab consumers use it to
+// tune laggard-aware delivery without materialising the nested view;
+// Laggards and LaggardsInRange are this pass over the dataset's cursor.
 func LaggardsStream(cur *trace.Cursor, threshold float64) LaggardStats {
 	var st LaggardStats
 	magSum := 0.0
-	var scratch []float64
+	var bs blockSorter
 	for cur.Next() {
-		b := cur.Block()
-		if len(b.Times) == 0 {
-			continue
-		}
 		st.Total++
-		scratch = append(scratch[:0], b.Times...)
-		sortx.Sort(scratch)
-		mag := scratch[len(scratch)-1] - stats.PercentileSorted(scratch, 50)
-		if mag > threshold {
+		max, med := bs.maxMedian(cur.Block().Times)
+		if mag := max - med; mag > threshold {
 			st.WithLaggard++
 			magSum += mag
 		}
@@ -99,11 +105,12 @@ func LaggardsStream(cur *trace.Cursor, threshold float64) LaggardStats {
 // histograms (Figures 5 and 7). Either return value may be nil if no such
 // iteration exists in [fromIter, toIter).
 func FindExampleIterations(d *trace.Dataset, threshold float64, fromIter, toIter int) (withLaggard, without []int) {
+	var bs blockSorter
 	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
 		if iter < fromIter || iter >= toIter {
 			return
 		}
-		if HasLaggard(xs, threshold) {
+		if bs.hasLaggard(xs, threshold) {
 			if withLaggard == nil {
 				withLaggard = []int{trial, rank, iter}
 			}

@@ -12,23 +12,29 @@ import (
 // thread's arrival) — the total thread-time that early-bird communication
 // could in principle put to use (Section 4.2).
 func ReclaimableTime(xs []float64) float64 {
-	max := stats.Max(xs)
-	sum := 0.0
-	for _, x := range xs {
-		sum += max - x
-	}
-	return sum
+	recl, _ := idleTime(xs, stats.Max(xs))
+	return recl
 }
 
 // IdleRatio returns the cumulative idle time of a sample set divided by
 // (latest arrival x thread count) — the paper's "ratio of time spent
 // idle".
 func IdleRatio(xs []float64) float64 {
-	max := stats.Max(xs)
-	if max <= 0 {
-		return 0
+	_, ratio := idleTime(xs, stats.Max(xs))
+	return ratio
+}
+
+// idleTime returns ReclaimableTime and IdleRatio of xs given its latest
+// arrival max. The reclaimable sum is Σ(max − x) in sample order; the
+// algebraically equal n·max − Σx rounds differently.
+func idleTime(xs []float64, max float64) (recl, ratio float64) {
+	for _, x := range xs {
+		recl += max - x
 	}
-	return ReclaimableTime(xs) / (max * float64(len(xs)))
+	if max <= 0 {
+		return recl, 0
+	}
+	return recl, recl / (max * float64(len(xs)))
 }
 
 // AppMetrics collects the scalar quantities Section 4.2 reports per
@@ -75,25 +81,29 @@ func ComputeMetrics(d *trace.Dataset, laggardThreshold float64) AppMetrics {
 }
 
 // ComputeMetricsInRange derives AppMetrics restricted to iterations in
-// [fromIter, toIter), for phase-wise analysis (MiniMD).
+// [fromIter, toIter), for phase-wise analysis (MiniMD). Every field is
+// exact: each process iteration is sorted once in a reused scratch, and
+// each application iteration is gathered in (trial, rank, thread) order
+// into one reused buffer whose quartiles are selected, not sorted.
 func ComputeMetricsInRange(d *trace.Dataset, laggardThreshold float64, fromIter, toIter int) AppMetrics {
 	m := AppMetrics{App: d.App}
 	nProc := 0
 	medianSum, reclSum, ratioSum := 0.0, 0.0, 0.0
 	laggards := 0
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
-		if iter < fromIter || iter >= toIter {
-			return
-		}
+	var bs blockSorter
+	cur := d.CursorRange(fromIter, toIter)
+	for cur.Next() {
+		xs := cur.Block().Times
 		nProc++
-		med := stats.Median(xs)
+		max, med := bs.maxMedian(xs)
 		medianSum += med
-		reclSum += ReclaimableTime(xs)
-		ratioSum += IdleRatio(xs)
-		if stats.Max(xs)-med > laggardThreshold {
+		recl, ratio := idleTime(xs, max)
+		reclSum += recl
+		ratioSum += ratio
+		if max-med > laggardThreshold {
 			laggards++
 		}
-	})
+	}
 	if nProc > 0 {
 		m.MeanMedianSec = medianSum / float64(nProc)
 		m.LaggardFraction = float64(laggards) / float64(nProc)
@@ -104,12 +114,19 @@ func ComputeMetricsInRange(d *trace.Dataset, laggardThreshold float64, fromIter,
 	nIter := 0
 	reclAppSum, ratioAppSum, iqrSum := 0.0, 0.0, 0.0
 	iqrMax := 0.0
+	xs := make([]float64, 0, d.Trials*d.Ranks*d.Threads)
 	for i := fromIter; i < toIter; i++ {
-		xs := d.IterationSamples(i)
+		xs = xs[:0]
+		for _, trial := range d.Times {
+			for _, rank := range trial {
+				xs = append(xs, rank[i]...)
+			}
+		}
 		nIter++
-		reclAppSum += ReclaimableTime(xs)
-		ratioAppSum += IdleRatio(xs)
-		iqr := stats.IQR(xs)
+		recl, ratio := idleTime(xs, stats.Max(xs))
+		reclAppSum += recl
+		ratioAppSum += ratio
+		iqr := stats.IQRSelect(xs)
 		iqrSum += iqr
 		if iqr > iqrMax {
 			iqrMax = iqr

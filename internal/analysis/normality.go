@@ -98,15 +98,10 @@ type Table1 struct {
 	PassRates [3]float64 // indexed by normality.Test, as fractions
 }
 
-// Table1Row computes the Table 1 row for a dataset.
+// Table1Row computes the Table 1 row for a dataset: Table1Streaming over
+// the dataset's cursor, so exact and streaming callers share one pass.
 func Table1Row(d *trace.Dataset, alpha float64) Table1 {
-	s := ProcessIterationNormality(d, alpha)
-	var t1 Table1
-	t1.App = d.App
-	for _, t := range normality.Tests {
-		t1.PassRates[t] = s.PassRate(t)
-	}
-	return t1
+	return Table1Streaming(d.App, d.Cursor(), alpha)
 }
 
 // MarshalJSON renders the row with pass rates keyed by test slug rather

@@ -3,7 +3,6 @@ package analysis
 import (
 	"sort"
 
-	"earlybird/internal/sortx"
 	"earlybird/internal/stats"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/trace"
@@ -67,7 +66,7 @@ type trialAccum struct {
 type MetricsAccumulator struct {
 	app       string
 	threshold float64
-	scratch   []float64
+	bs        blockSorter
 
 	trials   map[int]*trialAccum
 	sketches map[int]*stats.QuantileSketch
@@ -112,17 +111,13 @@ func (a *MetricsAccumulator) ObserveBlock(trial, rank, iter int, xs []float64) {
 	// scan), the max is the sorted tail, the median reads the sorted
 	// scratch, and the sorted scratch then feeds the iteration sketch
 	// through its no-buffer AddSorted fast path.
-	if cap(a.scratch) < n {
-		a.scratch = make([]float64, n)
-	}
-	a.scratch = a.scratch[:n]
+	sorted := a.bs.sort(xs)
+	max := sorted[n-1]
+	med := stats.PercentileSorted(sorted, 50)
 	sum := 0.0
-	for i, x := range xs {
-		a.scratch[i] = x
+	for _, x := range xs {
 		sum += x
 	}
-	sortx.Sort(a.scratch)
-	max := a.scratch[n-1]
 
 	ta := a.trials[trial]
 	if ta == nil {
@@ -131,7 +126,6 @@ func (a *MetricsAccumulator) ObserveBlock(trial, rank, iter int, xs []float64) {
 	}
 
 	// Process-iteration level: exact, the block is complete.
-	med := stats.PercentileSorted(a.scratch, 50)
 	recl := float64(n)*max - sum
 	ta.nProc++
 	ta.medianSum += med
@@ -160,7 +154,7 @@ func (a *MetricsAccumulator) ObserveBlock(trial, rank, iter int, xs []float64) {
 		sk = stats.NewQuantileSketch(iterSketchCompression)
 		a.sketches[iter] = sk
 	}
-	sk.AddSorted(a.scratch)
+	sk.AddSorted(sorted)
 }
 
 // Merge folds another accumulator (for the same application and
@@ -361,8 +355,8 @@ func (a *Table1Accumulator) Finalize() Table1 {
 }
 
 // Table1Streaming derives the Table 1 row from a process-iteration cursor
-// in a single pass — exact, like Table1Row, but without materialising the
-// sample slices.
+// in a single pass, without materialising the sample slices; Table1Row
+// is this pass over a dataset's cursor.
 func Table1Streaming(app string, cur *trace.Cursor, alpha float64) Table1 {
 	acc := NewTable1Accumulator(app, alpha)
 	for cur.Next() {

@@ -28,8 +28,9 @@ func NewLaggardTimeline(d *trace.Dataset, threshold float64) *LaggardTimeline {
 		PerIteration: d.Trials * d.Ranks,
 		ThresholdSec: threshold,
 	}
+	var bs blockSorter
 	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
-		if stats.Max(xs)-stats.Median(xs) > threshold {
+		if bs.hasLaggard(xs, threshold) {
 			tl.Counts[iter]++
 		}
 	})

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
@@ -105,10 +106,14 @@ func (o *Options) fill() error {
 }
 
 // Study is a collected thread-timing dataset plus the analysis
-// configuration.
+// configuration. A Study is immutable after construction, so its exact
+// metrics are computed once and shared by Metrics and Feasibility.
 type Study struct {
 	opts Options
 	ds   *trace.Dataset
+
+	metricsOnce sync.Once
+	metrics     analysis.AppMetrics
 }
 
 // NewStudy runs the configured study and returns it.
@@ -155,9 +160,13 @@ func (s *Study) Dataset() *trace.Dataset { return s.ds }
 // App returns the application name.
 func (s *Study) App() string { return s.ds.App }
 
-// Metrics computes the Section 4.2 scalar metrics.
+// Metrics returns the Section 4.2 scalar metrics, computed on first use.
+// It is safe for concurrent use.
 func (s *Study) Metrics() analysis.AppMetrics {
-	return analysis.ComputeMetrics(s.ds, s.opts.Policy.LaggardThresholdSec)
+	s.metricsOnce.Do(func() {
+		s.metrics = analysis.ComputeMetrics(s.ds, s.opts.Policy.LaggardThresholdSec)
+	})
+	return s.metrics
 }
 
 // MetricsStreaming computes the same scalars as Metrics in a single

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
 	"earlybird/internal/dlb"
 	"earlybird/internal/network"
@@ -21,6 +24,32 @@ func quickStudy(t *testing.T, app string) *Study {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestStudyMetricsConcurrent: Metrics is computed once per Study and
+// shared; concurrent Metrics and Feasibility callers all see the value a
+// fresh computation gives.
+func TestStudyMetricsConcurrent(t *testing.T) {
+	s := quickStudy(t, "minife")
+	want := analysis.ComputeMetrics(s.Dataset(), s.opts.Policy.LaggardThresholdSec)
+	wantA := quickStudy(t, "minife").Feasibility(1<<20, network.OmniPath(), 1e-3)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				if got := s.Metrics(); got != want {
+					t.Errorf("goroutine %d: metrics %+v, want %+v", g, got, want)
+				}
+				return
+			}
+			if got := s.Feasibility(1<<20, network.OmniPath(), 1e-3); !reflect.DeepEqual(got, wantA) {
+				t.Errorf("goroutine %d: assessment %+v, want %+v", g, got, wantA)
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestNewStudyRunsAllApps(t *testing.T) {

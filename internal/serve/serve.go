@@ -389,6 +389,9 @@ func (s *Server) runResolved(resolved engine.Spec) (engine.Result, Source, error
 		}
 		defer s.acquire()()
 		r, _ := s.eng.RunSpec(resolved)
+		// The reply needs only the analysed fields. A cached Study would
+		// keep its dataset live after the engine's cache evicted it.
+		r.Study = nil
 		return r, r.Err == nil
 	})
 	s.sources.count(src)
