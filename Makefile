@@ -72,22 +72,23 @@ bench:
 # Streaming-vs-materialised study benchmark at the paper's geometry,
 # recorded as test2json events so the perf trajectory of the data plane
 # accumulates across PRs (acceptance: streaming B/op >= 5x lower).
-# BENCH_streaming.json is append-only: each run adds an entry, so the
-# checked-in file is the benchmark trajectory across PRs (the README's
-# trajectory table is read from it). BenchmarkStrategySweep does the
-# same for the strategy lab's evaluator (acceptance: streaming B/op
-# strictly below the materialised path), and BenchmarkFillDLB for the
-# rebalancing fill loop (static vs LeWI throughput at paper geometry —
-# the cost of the dynamic policy axis).
+# BENCH_streaming.json, BENCH_strategies.json and BENCH_dlb.json are all
+# append-only: each run adds an entry, so the checked-in files are the
+# benchmark trajectories across PRs (the README's trajectory table is
+# read from BENCH_streaming.json). BenchmarkStrategySweep records the
+# strategy lab's evaluator (acceptance: streaming B/op strictly below
+# the materialised path), and BenchmarkFillDLB the rebalancing fill loop
+# (static vs LeWI throughput at paper geometry — the cost of the dynamic
+# policy axis).
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkStudy(Streaming|Materialized)$$' \
 		-benchmem -benchtime=3x -json . >> BENCH_streaming.json
 	@grep -o 'Benchmark[A-Za-z]*[ \t].*allocs/op' BENCH_streaming.json || true
 	$(GO) test -run '^$$' -bench '^BenchmarkStrategySweep$$' \
-		-benchmem -benchtime=3x -json ./internal/partcomm > BENCH_strategies.json
+		-benchmem -benchtime=3x -json ./internal/partcomm >> BENCH_strategies.json
 	@grep -oE '[0-9]+ ns/op[^"]*allocs/op' BENCH_strategies.json || true
 	$(GO) test -run '^$$' -bench '^BenchmarkFillDLB$$' \
-		-benchmem -benchtime=3x -json ./internal/cluster > BENCH_dlb.json
+		-benchmem -benchtime=3x -json ./internal/cluster >> BENCH_dlb.json
 	@grep -oE '[0-9]+ ns/op[^"]*allocs/op' BENCH_dlb.json || true
 
 # Regression gate: re-run the gated benchmarks (BenchmarkStudyStreaming,
@@ -149,10 +150,14 @@ cover:
 		printf "coverage %.1f%% meets the %.1f%% floor\n", total, floor; \
 	}'
 
-# 10-second coverage-guided smoke of the strategy-ordering laws; the
-# saved corpus replays in plain `make test` as well.
+# 10-second coverage-guided smokes of the strategy-ordering laws and of
+# the two dataset decoders (trace.ReadCSV, trace.ReadJSON: no panic,
+# allocation bounded by input length, accepted input survives a
+# re-encode). The checked-in corpora replay in plain `make test` as well.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStrategyOrdering$$' -fuzztime 10s ./internal/partcomm
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/trace
 
 lint:
 	$(GO) vet ./...

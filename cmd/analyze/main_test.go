@@ -22,12 +22,11 @@ func runCmd(t *testing.T, args ...string) (string, error) {
 // writeDataset collects a tiny dataset file for the file-based paths.
 func writeDataset(t *testing.T, name string) string {
 	t.Helper()
-	col, err := cluster.RunColumnarDLB(workload.DefaultMiniFE(),
+	ds, err := cluster.RunColumnarDLB(workload.DefaultMiniFE(),
 		cluster.Config{Trials: 1, Ranks: 2, Iterations: 4, Threads: 8, Seed: 3}, dlb.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := col.Dataset()
 	path := filepath.Join(t.TempDir(), name)
 	f, err := os.Create(path)
 	if err != nil {

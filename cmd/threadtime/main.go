@@ -105,11 +105,7 @@ func runModel(app string, cfg cluster.Config) (*trace.Dataset, error) {
 	default:
 		return nil, fmt.Errorf("unknown app %q", app)
 	}
-	col, err := cluster.RunColumnarDLB(m, cfg, dlb.Spec{}, 0)
-	if err != nil {
-		return nil, err
-	}
-	return col.Dataset(), nil
+	return cluster.RunColumnarDLB(m, cfg, dlb.Spec{}, 0)
 }
 
 func runLive(app string, trials, ranks, iters, threads int, seed uint64) (*trace.Dataset, error) {

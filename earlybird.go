@@ -137,7 +137,9 @@ type Geometry = cluster.Config
 // evaluation.
 type Fabric = network.Fabric
 
-// Dataset is the raw compute-time tensor of a study.
+// Dataset holds the raw compute times of a study: one flat sample column
+// behind its geometry header, read one process iteration at a time
+// through Block or a Cursor.
 type Dataset = trace.Dataset
 
 // AppMetrics holds the Section 4.2 scalar metrics of a study.

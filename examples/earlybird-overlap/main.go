@@ -99,11 +99,10 @@ func analyticalComparison() {
 		workload.DefaultMiniMD(),
 		workload.DefaultMiniQMC(),
 	} {
-		col, err := cluster.RunColumnarDLB(m, cfg, dlb.Spec{}, 0)
+		ds, err := cluster.RunColumnarDLB(m, cfg, dlb.Spec{}, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ds := col.Dataset()
 		fmt.Printf("\n%s (1 MiB per thread portion, Omni-Path model):\n", ds.App)
 		for _, r := range partcomm.Evaluate(ds, 1<<20, fabric, strategies) {
 			fmt.Printf("  %s\n", r)

@@ -23,11 +23,10 @@ import (
 func main() {
 	// --- Calibrated model study (reproduces the paper's numbers). ---
 	cfg := cluster.Config{Trials: 4, Ranks: 8, Iterations: 100, Threads: 48, Seed: 1}
-	col, err := cluster.RunColumnarDLB(workload.DefaultMiniFE(), cfg, dlb.Spec{}, 0)
+	ds, err := cluster.RunColumnarDLB(workload.DefaultMiniFE(), cfg, dlb.Spec{}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ds := col.Dataset()
 
 	// Figure 4: percentile series and its left-skew signature.
 	ps := analysis.IterationPercentiles(ds, nil)

@@ -51,11 +51,10 @@ func main() {
 	}
 
 	for _, sc := range scenarios {
-		col, err := cluster.RunColumnarDLB(sc.model, cfg, dlb.Spec{}, 0)
+		ds, err := cluster.RunColumnarDLB(sc.model, cfg, dlb.Spec{}, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ds := col.Dataset()
 		m := analysis.ComputeMetrics(ds, analysis.DefaultLaggardThresholdSec)
 		lb := analysis.DatasetLoadBalance(ds)
 		tl := analysis.NewLaggardTimeline(ds, analysis.DefaultLaggardThresholdSec)

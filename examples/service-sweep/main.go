@@ -32,8 +32,8 @@ func main() {
 	base := "http://" + ln.Addr().String()
 
 	// A 3 apps x 2 alphas grid at the quick geometry: six cells, three
-	// dataset generations (the alpha axis re-reads the engine's columnar
-	// cache through cursors — the nested tensor is never built).
+	// dataset generations (the alpha axis re-reads the engine's cached
+	// datasets through cursors).
 	sweep := map[string]any{
 		"apps":       []string{"minife", "minimd", "miniqmc"},
 		"geometries": []earlybird.Geometry{earlybird.QuickGeometry()},
@@ -83,16 +83,15 @@ func main() {
 	defer stats.Body.Close()
 	var snapshot struct {
 		Engine struct {
-			Executions  int64 `json:"dataset_executions"`
-			Cached      int   `json:"cached_datasets"`
-			NestedViews int64 `json:"nested_views"`
+			Executions int64 `json:"dataset_executions"`
+			Cached     int   `json:"cached_datasets"`
 		} `json:"engine"`
 	}
 	if err := json.NewDecoder(stats.Body).Decode(&snapshot); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("engine: %d generations for 6 cells, %d cached, %d nested views built\n",
-		snapshot.Engine.Executions, snapshot.Engine.Cached, snapshot.Engine.NestedViews)
+	fmt.Printf("engine: %d generations for 6 cells, %d cached\n",
+		snapshot.Engine.Executions, snapshot.Engine.Cached)
 
 	if err := srv.Shutdown(context.Background()); err != nil {
 		log.Fatal(err)

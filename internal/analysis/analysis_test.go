@@ -10,11 +10,21 @@ import (
 	"earlybird/internal/trace"
 )
 
+// eachBlock calls fn for every process iteration of d in (trial, rank,
+// iteration) order, handing it the block's view of the column so tests
+// can fill a fresh dataset in place.
+func eachBlock(d *trace.Dataset, fn func(trial, rank, iter int, xs []float64)) {
+	for cur := d.Cursor(); cur.Next(); {
+		b := cur.Block()
+		fn(b.Trial, b.Rank, b.Iter, b.Times)
+	}
+}
+
 // synthetic builds a tiny dataset with hand-set values.
 func synthetic() *trace.Dataset {
 	d := trace.NewDataset("syn", 1, 2, 3, 4)
 	v := 10.0
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
+	eachBlock(d, func(trial, rank, iter int, xs []float64) {
 		for i := range xs {
 			xs[i] = v * 1e-3
 			v += 0.25
@@ -79,7 +89,7 @@ func TestHasLaggard(t *testing.T) {
 
 func TestLaggardsCounting(t *testing.T) {
 	d := trace.NewDataset("lag", 1, 1, 4, 8)
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
+	eachBlock(d, func(trial, rank, iter int, xs []float64) {
 		for i := range xs {
 			xs[i] = 0.020
 		}
@@ -103,13 +113,13 @@ func TestLaggardsCounting(t *testing.T) {
 
 func TestFindExampleIterations(t *testing.T) {
 	d := trace.NewDataset("ex", 1, 1, 2, 4)
-	for i := range d.Times[0][0][0] {
-		d.Times[0][0][0][i] = 0.02
+	for _, iter := range []int{0, 1} {
+		xs := d.Block(0, 0, iter)
+		for i := range xs {
+			xs[i] = 0.02
+		}
 	}
-	for i := range d.Times[0][0][1] {
-		d.Times[0][0][1][i] = 0.02
-	}
-	d.Times[0][0][1][3] = 0.025
+	d.Block(0, 0, 1)[3] = 0.025
 	withLag, without := FindExampleIterations(d, 1e-3, 0, 2)
 	if without == nil || without[2] != 0 {
 		t.Fatalf("no-laggard example = %v", without)
@@ -149,6 +159,29 @@ func TestComputeMetricsEmptyRange(t *testing.T) {
 	m := ComputeMetricsInRange(d, 1e-3, 2, 2)
 	if m.MeanMedianSec != 0 || m.AvgReclaimableProcSec != 0 {
 		t.Errorf("empty range should produce zero metrics: %+v", m)
+	}
+}
+
+// TestComputeMetricsInRangeClampsBounds is the regression test for the
+// application-iteration loop indexing the raw [fromIter, toIter) while
+// the process-level loop read a clamped cursor: bounds outside the
+// dataset panicked instead of clamping as LaggardsInRange does.
+func TestComputeMetricsInRangeClampsBounds(t *testing.T) {
+	d := synthetic() // 3 iterations
+	for _, c := range []struct{ from, to, clampFrom, clampTo int }{
+		{-1, 3, 0, 3},
+		{0, 4, 0, 3},
+		{-2, 10, 0, 3},
+		{1, 99, 1, 3},
+		{-5, 2, 0, 2},
+		{-3, -1, 0, 0},
+		{5, 9, 3, 3},
+	} {
+		got := ComputeMetricsInRange(d, 1e-3, c.from, c.to)
+		want := ComputeMetricsInRange(d, 1e-3, c.clampFrom, c.clampTo)
+		if got != want {
+			t.Errorf("[%d,%d): %+v, want the clamped [%d,%d) result %+v", c.from, c.to, got, c.clampFrom, c.clampTo, want)
+		}
 	}
 }
 
@@ -230,7 +263,7 @@ func TestNormalitySummaryAndTable1OnDegenerate(t *testing.T) {
 	// All-constant dataset: every process iteration must be counted as
 	// rejected (degenerate), giving a 0% pass rate.
 	d := trace.NewDataset("const", 1, 1, 3, 48)
-	d.EachProcessIteration(func(_, _, _ int, xs []float64) {
+	eachBlock(d, func(_, _, _ int, xs []float64) {
 		for i := range xs {
 			xs[i] = 0.02
 		}
@@ -257,13 +290,15 @@ func TestNormalitySummaryPassedSets(t *testing.T) {
 	// One clearly-normal iteration embedded among constant ones; the
 	// passed set should contain only that iteration's index.
 	d := trace.NewDataset("mix", 1, 1, 3, 64)
-	for i := range d.Times[0][0][1] {
+	mid := d.Block(0, 0, 1)
+	for i := range mid {
 		// Deterministic near-normal values via the inverse CDF trick.
-		d.Times[0][0][1][i] = 0.02 + 1e-3*float64(i%8) - 3.5e-3 // uniform-ish, will often pass AD? keep loose
+		mid[i] = 0.02 + 1e-3*float64(i%8) - 3.5e-3 // uniform-ish, will often pass AD? keep loose
 	}
 	for _, iter := range []int{0, 2} {
-		for i := range d.Times[0][0][iter] {
-			d.Times[0][0][iter][i] = 0.02
+		xs := d.Block(0, 0, iter)
+		for i := range xs {
+			xs[i] = 0.02
 		}
 	}
 	s := ProcessIterationNormality(d, normality.DefaultAlpha)

@@ -28,5 +28,5 @@ func ApplicationHistogram(d *trace.Dataset, binWidthSec float64) *stats.Histogra
 // ProcessIterationHistogram builds a Figure 5/7/9-style histogram of a
 // single (trial, rank, iteration) thread set.
 func ProcessIterationHistogram(d *trace.Dataset, trial, rank, iter int, binWidthSec float64) *stats.Histogram {
-	return stats.NewHistogram(d.ProcessIteration(trial, rank, iter), binWidthSec)
+	return stats.NewHistogram(d.Block(trial, rank, iter), binWidthSec)
 }

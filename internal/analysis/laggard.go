@@ -77,8 +77,8 @@ func LaggardsInRange(d *trace.Dataset, threshold float64, fromIter, toIter int) 
 
 // LaggardsStream classifies every process iteration yielded by the
 // cursor in O(threads) live memory. Strategy-lab consumers use it to
-// tune laggard-aware delivery without materialising the nested view;
-// Laggards and LaggardsInRange are this pass over the dataset's cursor.
+// tune laggard-aware delivery in one pass; Laggards and LaggardsInRange
+// are this pass over the dataset's cursor.
 func LaggardsStream(cur *trace.Cursor, threshold float64) LaggardStats {
 	var st LaggardStats
 	magSum := 0.0
@@ -106,17 +106,15 @@ func LaggardsStream(cur *trace.Cursor, threshold float64) LaggardStats {
 // iteration exists in [fromIter, toIter).
 func FindExampleIterations(d *trace.Dataset, threshold float64, fromIter, toIter int) (withLaggard, without []int) {
 	var bs blockSorter
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
-		if iter < fromIter || iter >= toIter {
-			return
-		}
-		if bs.hasLaggard(xs, threshold) {
+	for cur := d.CursorRange(fromIter, toIter); cur.Next(); {
+		b := cur.Block()
+		if bs.hasLaggard(b.Times, threshold) {
 			if withLaggard == nil {
-				withLaggard = []int{trial, rank, iter}
+				withLaggard = []int{b.Trial, b.Rank, b.Iter}
 			}
 		} else if without == nil {
-			without = []int{trial, rank, iter}
+			without = []int{b.Trial, b.Rank, b.Iter}
 		}
-	})
+	}
 	return withLaggard, without
 }

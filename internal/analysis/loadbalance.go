@@ -32,9 +32,9 @@ type LoadBalanceStats struct {
 // set: the two metrics are complementary views of the same idle time.
 func DatasetLoadBalance(d *trace.Dataset) LoadBalanceStats {
 	vals := make([]float64, 0, d.NumProcessIterations())
-	d.EachProcessIteration(func(_, _, _ int, xs []float64) {
-		vals = append(vals, LoadBalance(xs))
-	})
+	for cur := d.Cursor(); cur.Next(); {
+		vals = append(vals, LoadBalance(cur.Block().Times))
+	}
 	sorted := stats.Sorted(vals)
 	return LoadBalanceStats{
 		Mean: stats.Mean(vals),

@@ -30,8 +30,8 @@ func TestLoadBalanceIdleRatioIdentity(t *testing.T) {
 
 func TestDatasetLoadBalance(t *testing.T) {
 	d := trace.NewDataset("lb", 1, 1, 2, 4)
-	copy(d.Times[0][0][0], []float64{2, 2, 2, 2}) // LB 1
-	copy(d.Times[0][0][1], []float64{1, 2, 3, 4}) // LB 0.625
+	copy(d.Block(0, 0, 0), []float64{2, 2, 2, 2}) // LB 1
+	copy(d.Block(0, 0, 1), []float64{1, 2, 3, 4}) // LB 0.625
 	st := DatasetLoadBalance(d)
 	if math.Abs(st.Mean-0.8125) > 1e-12 {
 		t.Errorf("mean = %v", st.Mean)

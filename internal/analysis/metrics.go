@@ -115,11 +115,11 @@ func ComputeMetricsInRange(d *trace.Dataset, laggardThreshold float64, fromIter,
 	reclAppSum, ratioAppSum, iqrSum := 0.0, 0.0, 0.0
 	iqrMax := 0.0
 	xs := make([]float64, 0, d.Trials*d.Ranks*d.Threads)
-	for i := fromIter; i < toIter; i++ {
+	for i := cur.FromIter(); i < cur.ToIter(); i++ {
 		xs = xs[:0]
-		for _, trial := range d.Times {
-			for _, rank := range trial {
-				xs = append(xs, rank[i]...)
+		for t := 0; t < d.Trials; t++ {
+			for r := 0; r < d.Ranks; r++ {
+				xs = append(xs, d.Block(t, r, i)...)
 			}
 		}
 		nIter++

@@ -77,17 +77,15 @@ func ApplicationIterationNormality(d *trace.Dataset, alpha float64) *NormalitySu
 // paper's Table 1.
 func ProcessIterationNormality(d *trace.Dataset, alpha float64) *NormalitySummary {
 	s := &NormalitySummary{Level: "process iteration", Total: d.NumProcessIterations()}
-	idx := 0
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
-		res := normality.Battery(xs, alpha)
+	for cur, idx := d.Cursor(), 0; cur.Next(); idx++ {
+		res := normality.Battery(cur.Block().Times, alpha)
 		for _, t := range normality.Tests {
 			if res[t].Passed() {
 				s.Passed[t]++
 				s.PassedSets[t] = append(s.PassedSets[t], idx)
 			}
 		}
-		idx++
-	})
+	}
 	return s
 }
 

@@ -43,12 +43,21 @@ func oracleIdleRatio(xs []float64) float64 {
 	return oracleReclaimableTime(xs) / (max * float64(len(xs)))
 }
 
+// eachBlock calls fn for every process iteration of d in (trial, rank,
+// iteration) order.
+func eachBlock(d *trace.Dataset, fn func(trial, rank, iter int, xs []float64)) {
+	for cur := d.Cursor(); cur.Next(); {
+		b := cur.Block()
+		fn(b.Trial, b.Rank, b.Iter, b.Times)
+	}
+}
+
 func oracleMetrics(d *trace.Dataset, laggardThreshold float64, fromIter, toIter int) analysis.AppMetrics {
 	m := analysis.AppMetrics{App: d.App}
 	nProc := 0
 	medianSum, reclSum, ratioSum := 0.0, 0.0, 0.0
 	laggards := 0
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
+	eachBlock(d, func(trial, rank, iter int, xs []float64) {
 		if iter < fromIter || iter >= toIter {
 			return
 		}
@@ -93,7 +102,7 @@ func oracleMetrics(d *trace.Dataset, laggardThreshold float64, fromIter, toIter 
 func oracleLaggards(d *trace.Dataset, threshold float64, fromIter, toIter int) analysis.LaggardStats {
 	var st analysis.LaggardStats
 	magSum := 0.0
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
+	eachBlock(d, func(trial, rank, iter int, xs []float64) {
 		if iter < fromIter || iter >= toIter {
 			return
 		}
@@ -118,7 +127,7 @@ func oracleHasLaggard(xs []float64, threshold float64) bool {
 
 func oracleExampleIterations(d *trace.Dataset, threshold float64, fromIter, toIter int) [2][]int {
 	var out [2][]int
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
+	eachBlock(d, func(trial, rank, iter int, xs []float64) {
 		if iter < fromIter || iter >= toIter {
 			return
 		}
@@ -211,7 +220,7 @@ func oracleTable1Row(d *trace.Dataset, alpha float64) analysis.Table1 {
 	t1 := analysis.Table1{App: d.App}
 	var passed [3]int
 	total := 0
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
+	eachBlock(d, func(trial, rank, iter int, xs []float64) {
 		total++
 		res := oracleBattery(xs, alpha)
 		for _, t := range normality.Tests {
@@ -306,11 +315,10 @@ func TestExactAnalysisMatchesOracle(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				name := fmt.Sprintf("%s/%s/seed%d", app, policy.Name(), seed)
 				cfg := cluster.Config{Trials: 2, Ranks: 4, Iterations: 80, Threads: 48, Seed: seed}
-				col, err := cluster.RunColumnarDLB(model, cfg, policy, 0)
+				d, err := cluster.RunColumnarDLB(model, cfg, policy, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				d := col.Dataset()
 				n := d.Iterations
 				for _, thr := range []float64{1e-3, 3e-4} {
 					for _, r := range [][2]int{{0, n}, {0, 40}, {40, n}} {
@@ -336,7 +344,7 @@ func TestExactAnalysisMatchesOracle(t *testing.T) {
 
 					tl := analysis.NewLaggardTimeline(d, thr)
 					counts := make([]int, n)
-					d.EachProcessIteration(func(_, _, iter int, xs []float64) {
+					eachBlock(d, func(_, _, iter int, xs []float64) {
 						if oracleHasLaggard(xs, thr) {
 							counts[iter]++
 						}
@@ -346,7 +354,7 @@ func TestExactAnalysisMatchesOracle(t *testing.T) {
 				assertBitEqual(t, name+" table1", analysis.Table1Row(d, alpha), oracleTable1Row(d, alpha))
 
 				mismatches := 0
-				d.EachProcessIteration(func(_, _, _ int, xs []float64) {
+				eachBlock(d, func(_, _, _ int, xs []float64) {
 					got, err1 := normality.DAgostinoK2(xs, alpha)
 					want, err2 := oracleDAgostinoK2(xs, alpha)
 					if err1 != err2 || !bitEqual(reflect.ValueOf(got), reflect.ValueOf(want)) {

@@ -15,11 +15,10 @@ import (
 func TestComputeMetricsStreamingRangeMatchesInRange(t *testing.T) {
 	model := &workload.MiniMD{}
 	cfg := cluster.Config{Trials: 2, Ranks: 2, Iterations: 40, Threads: 24, Seed: 2}
-	col, err := cluster.RunColumnarDLB(model, cfg, dlb.Spec{}, 0)
+	d, err := cluster.RunColumnarDLB(model, cfg, dlb.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := col.Dataset()
 	const from, to = 5, 25
 	exact := ComputeMetricsInRange(d, DefaultLaggardThresholdSec, from, to)
 	got := ComputeMetricsStreaming(d.App, d.CursorRange(from, to), DefaultLaggardThresholdSec)
@@ -46,18 +45,17 @@ func TestComputeMetricsStreamingRangeMatchesInRange(t *testing.T) {
 func TestMetricsAccumulatorMergeOrderIndependent(t *testing.T) {
 	model := &workload.MiniFE{}
 	cfg := cluster.Config{Trials: 2, Ranks: 2, Iterations: 12, Threads: 16, Seed: 9}
-	col, err := cluster.RunColumnarDLB(model, cfg, dlb.Spec{}, 0)
+	d, err := cluster.RunColumnarDLB(model, cfg, dlb.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := col.Dataset()
 	build := func(order []int) AppMetrics {
 		// One accumulator per trial, merged in the given order.
 		accs := make([]*MetricsAccumulator, cfg.Trials)
 		for i := range accs {
 			accs[i] = NewMetricsAccumulator(d.App, DefaultLaggardThresholdSec)
 		}
-		d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
+		eachBlock(d, func(trial, rank, iter int, xs []float64) {
 			accs[trial].ObserveBlock(trial, rank, iter, xs)
 		})
 		root := NewMetricsAccumulator(d.App, DefaultLaggardThresholdSec)
@@ -79,11 +77,10 @@ func TestMetricsAccumulatorMergeOrderIndependent(t *testing.T) {
 func TestTable1StreamingMatchesTable1Row(t *testing.T) {
 	model := &workload.MiniQMC{}
 	cfg := cluster.Config{Trials: 2, Ranks: 2, Iterations: 15, Threads: 24, Seed: 4}
-	col, err := cluster.RunColumnarDLB(model, cfg, dlb.Spec{}, 0)
+	d, err := cluster.RunColumnarDLB(model, cfg, dlb.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := col.Dataset()
 	exact := Table1Row(d, 0.05)
 	got := Table1Streaming(d.App, d.Cursor(), 0.05)
 	if got != exact {

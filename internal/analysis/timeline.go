@@ -29,11 +29,12 @@ func NewLaggardTimeline(d *trace.Dataset, threshold float64) *LaggardTimeline {
 		ThresholdSec: threshold,
 	}
 	var bs blockSorter
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
-		if bs.hasLaggard(xs, threshold) {
-			tl.Counts[iter]++
+	for cur := d.Cursor(); cur.Next(); {
+		b := cur.Block()
+		if bs.hasLaggard(b.Times, threshold) {
+			tl.Counts[b.Iter]++
 		}
-	})
+	}
 	return tl
 }
 

@@ -11,7 +11,7 @@ func timelineDataset() *trace.Dataset {
 	// 2 trials x 2 ranks x 5 iterations x 4 threads; laggards planted in
 	// iterations 1 (one process) and 3 (all four processes).
 	d := trace.NewDataset("tl", 2, 2, 5, 4)
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
+	eachBlock(d, func(trial, rank, iter int, xs []float64) {
 		for i := range xs {
 			xs[i] = 0.020
 		}

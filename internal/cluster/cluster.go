@@ -1,6 +1,6 @@
 // Package cluster fills a full study job — trials x ranks x iterations x
 // threads — over a workload model. Fill is the one fill loop: it writes
-// the per-iteration sample blocks into a columnar trace.Sink (the store
+// the per-iteration sample blocks into a trace.Sink (sealing the dataset
 // the analysis pipeline consumes), hands them straight to subscribed
 // accumulators so aggregate-only studies never materialise the dataset
 // at all, or both.
@@ -253,13 +253,13 @@ func fillTasks(job *Job, policy dlb.Spec, root *rng.Source, taskRanks, lo, hi in
 }
 
 // RunColumnarDLB fills the study into a fresh sink and returns the
-// sealed columnar store: the compact form the campaign engine caches.
+// sealed dataset: the form the campaign engine caches.
 // The dataset fingerprint is accumulated stripe by stripe during the
 // fill, so Seal pays no second pass over the data. workers <= 0 means
 // GOMAXPROCS. It is a convenience over Fill for callers that want a
-// sealed store; the service benchmark module (servicebench) calls it, so
+// sealed dataset; the service benchmark module (servicebench) calls it, so
 // its signature stays fixed.
-func RunColumnarDLB(model workload.Model, cfg Config, policy dlb.Spec, workers int) (*trace.Columnar, error) {
+func RunColumnarDLB(model workload.Model, cfg Config, policy dlb.Spec, workers int) (*trace.Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -9,15 +9,14 @@ import (
 	"earlybird/internal/workload"
 )
 
-// mustDataset fills cfg under the static policy into a sealed store and
-// returns its nested view.
+// mustDataset fills cfg under the static policy into a sealed dataset.
 func mustDataset(t *testing.T, model workload.Model, cfg Config, workers int) *trace.Dataset {
 	t.Helper()
-	col, err := RunColumnarDLB(model, cfg, dlb.Spec{}, workers)
+	d, err := RunColumnarDLB(model, cfg, dlb.Spec{}, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return col.Dataset()
+	return d
 }
 
 func TestRunGeometry(t *testing.T) {
@@ -131,9 +130,8 @@ func TestRunStreamObserversSeeEveryBlock(t *testing.T) {
 	}
 }
 
-// TestRunColumnarMatchesRunWorkers: the sealed columnar store and the
-// nested dataset view must be the same bytes and the same fingerprint,
-// regardless of worker count.
+// TestRunColumnarMatchesRunWorkers: sealed datasets must be the same
+// bytes and the same fingerprint regardless of worker count.
 func TestRunColumnarMatchesRunWorkers(t *testing.T) {
 	model := &workload.MiniMD{}
 	cfg := Config{Trials: 2, Ranks: 2, Iterations: 15, Threads: 8, Seed: 3}
@@ -143,7 +141,7 @@ func TestRunColumnarMatchesRunWorkers(t *testing.T) {
 	}
 	d := mustDataset(t, model, cfg, 1)
 	if col.Fingerprint() != d.Fingerprint() {
-		t.Fatal("columnar and dataset fingerprints differ")
+		t.Fatal("fingerprints differ across worker counts")
 	}
 	if col.NumSamples() != d.NumSamples() {
 		t.Fatal("sample counts differ")

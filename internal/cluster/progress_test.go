@@ -30,7 +30,7 @@ func (s *countingSink) ObserveLend(n int) { s.lends.Add(int64(n)) }
 
 // fillObserved fills into a sealed store with a progress sink attached,
 // as the campaign engine does.
-func fillObserved(model workload.Model, cfg Config, policy dlb.Spec, workers int, progress ProgressSink) (*trace.Columnar, error) {
+func fillObserved(model workload.Model, cfg Config, policy dlb.Spec, workers int, progress ProgressSink) (*trace.Dataset, error) {
 	sink := trace.NewSink(model.Name(), cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads)
 	if _, err := Fill(Job{Model: model, Config: cfg, Policy: policy, Workers: workers, Sink: sink, Progress: progress}); err != nil {
 		return nil, err

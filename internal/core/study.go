@@ -121,11 +121,11 @@ func NewStudy(opts Options) (*Study, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	col, err := cluster.RunColumnarDLB(opts.Model, opts.Geometry, opts.Policy.DLB, 0)
+	ds, err := cluster.RunColumnarDLB(opts.Model, opts.Geometry, opts.Policy.DLB, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Study{opts: opts, ds: col.Dataset()}, nil
+	return &Study{opts: opts, ds: ds}, nil
 }
 
 // FromDataset wraps an existing dataset (for example, read back from

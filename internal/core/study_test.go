@@ -99,8 +99,7 @@ func TestFromDataset(t *testing.T) {
 	if _, err := FromDataset(nil); err == nil {
 		t.Error("nil dataset accepted")
 	}
-	bad := trace.NewDataset("y", 1, 1, 1, 1)
-	bad.Times = nil
+	bad := &trace.Dataset{App: "y", Trials: 1, Ranks: 1, Iterations: 1, Threads: 1} // no samples
 	if _, err := FromDataset(bad); err == nil {
 		t.Error("invalid dataset accepted")
 	}
@@ -224,11 +223,10 @@ func TestFeasibilitySyntheticBoundaries(t *testing.T) {
 }
 
 func TestFromDatasetWith(t *testing.T) {
-	col, err := cluster.RunColumnarDLB(workload.DefaultMiniFE(), quickGeom, dlb.Spec{}, 0)
+	d, err := cluster.RunColumnarDLB(workload.DefaultMiniFE(), quickGeom, dlb.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := col.Dataset()
 	loose, err := FromDatasetWith(d, Options{Policy: PolicySpec{Alpha: 0.01, LaggardThresholdSec: 5e-3}})
 	if err != nil {
 		t.Fatal(err)

@@ -55,11 +55,11 @@ func TestEngineCachesPerPolicy(t *testing.T) {
 	model := workload.DefaultMiniFE()
 	quick := cluster.SmallConfig()
 
-	a, hit, err := e.ColumnarDLB(model, quick, dlb.Spec{})
+	a, hit, err := e.DatasetDLB(model, quick, dlb.Spec{})
 	if err != nil || hit {
 		t.Fatalf("first static: hit=%v err=%v", hit, err)
 	}
-	b, hit, err := e.ColumnarDLB(model, quick, dlb.Spec{Policy: dlb.PolicyLeWI})
+	b, hit, err := e.DatasetDLB(model, quick, dlb.Spec{Policy: dlb.PolicyLeWI})
 	if err != nil || hit {
 		t.Fatalf("first lewi: hit=%v err=%v", hit, err)
 	}
@@ -70,7 +70,7 @@ func TestEngineCachesPerPolicy(t *testing.T) {
 		t.Fatalf("executions = %d, want 2", got)
 	}
 	// Same policy, spelled differently: cache hit, no third generation.
-	c, hit, err := e.ColumnarDLB(model, quick, dlb.Spec{
+	c, hit, err := e.DatasetDLB(model, quick, dlb.Spec{
 		Policy: dlb.PolicyLeWI, LaggardFactor: dlb.DefaultLaggardFactor, MaxLendFraction: dlb.DefaultMaxLendFraction,
 	})
 	if err != nil || !hit {
@@ -83,7 +83,7 @@ func TestEngineCachesPerPolicy(t *testing.T) {
 		t.Fatalf("executions after re-request = %d, want 2", got)
 	}
 	// Invalid policies error instead of caching garbage.
-	if _, _, err := e.ColumnarDLB(model, quick, dlb.Spec{Policy: "turbo"}); err == nil {
+	if _, _, err := e.DatasetDLB(model, quick, dlb.Spec{Policy: "turbo"}); err == nil {
 		t.Fatal("invalid policy accepted")
 	}
 }

@@ -1,9 +1,9 @@
 // Package engine executes campaigns: many studies fanned out over a
 // bounded worker pool, backed by a content-addressed dataset cache keyed
-// by (model name, geometry, seed). Cache entries hold the compact
-// columnar form (trace.Columnar) with the content fingerprint already
-// computed during the fill; the nested Dataset view is built lazily over
-// the same storage (NestedViews counts how often). Identical study specs
+// by (model name, geometry, seed). Cache entries hold the sealed
+// trace.Dataset — one flat sample column — with the content fingerprint
+// already computed during the fill. DatasetDLB and PrefetchDLB are the
+// two dataset entry points. Identical study specs
 // are deduplicated to a single execution, and distinct specs over the
 // same dataset share one generation. Results are deterministic
 // regardless of scheduling order because dataset generation is a pure

@@ -28,13 +28,11 @@ type Key struct {
 
 // cacheEntry single-flights one dataset generation: the first goroutine
 // to reach the entry runs it, everyone else blocks on the Once and reads
-// the shared result. The cache holds the compact columnar form — one
-// flat sample column plus a small header, with the fingerprint already
-// accumulated during the fill — and builds the nested Dataset view
-// lazily, sharing the column's storage, only when a consumer asks for it.
+// the shared result — one flat sample column plus a small header, with
+// the fingerprint already accumulated during the fill.
 type cacheEntry struct {
 	once sync.Once
-	col  *trace.Columnar
+	ds   *trace.Dataset
 	err  error
 	// done flips once the generation has finished; only done entries are
 	// eviction candidates (an in-flight entry is about to be read by the
@@ -44,9 +42,6 @@ type cacheEntry struct {
 	// recent lookup; the eviction policy removes the smallest. Guarded by
 	// the engine mutex.
 	lastUse int64
-
-	dsOnce sync.Once
-	ds     *trace.Dataset
 }
 
 // Engine is a dataset cache plus the worker-pool configuration shared by
@@ -62,10 +57,9 @@ type Engine struct {
 	maxDatasets int
 	progress    ProgressFactory
 
-	executions  atomic.Int64
-	inFlight    atomic.Int64
-	evictions   atomic.Int64
-	nestedViews atomic.Int64
+	executions atomic.Int64
+	inFlight   atomic.Int64
+	evictions  atomic.Int64
 }
 
 // ProgressFactory creates the live telemetry attachment for one dataset
@@ -118,13 +112,6 @@ func (e *Engine) CachedDatasets() int {
 // over the engine's lifetime.
 func (e *Engine) EvictedDatasets() int64 { return e.evictions.Load() }
 
-// NestedViews returns how many dataset generations have had their nested
-// [][][][] view built. Consumers that stay on the columnar cursor path
-// (streaming analysis, NDJSON sweeps) never trigger the view, so this
-// stays at zero for them — tests use it to prove a code path never
-// materialised the tensor form.
-func (e *Engine) NestedViews() int64 { return e.nestedViews.Load() }
-
 // SetMaxDatasets bounds the dataset cache to at most n completed entries,
 // evicting the least recently used when a new generation would exceed the
 // bound; n <= 0 removes the bound. In-flight generations are never
@@ -173,21 +160,20 @@ func (e *Engine) DatasetDLB(model workload.Model, geom cluster.Config, policy dl
 	return e.dataset(model, geom, policy, 1)
 }
 
-// Columnar is DatasetDLB under the static policy, in the cache's native
-// form: the flat columnar store streaming consumers read through
-// cursors, without ever building the nested view. Callers must not
-// mutate the returned store.
-func (e *Engine) Columnar(model workload.Model, geom cluster.Config) (*trace.Columnar, bool, error) {
-	return e.ColumnarDLB(model, geom, dlb.Spec{})
+// Columnar is DatasetDLB under the static policy.
+//
+// Deprecated: the service benchmark module (servicebench) calls it, so it
+// stays until that module changes; new code should call DatasetDLB.
+func (e *Engine) Columnar(model workload.Model, geom cluster.Config) (*trace.Dataset, bool, error) {
+	return e.DatasetDLB(model, geom, dlb.Spec{})
 }
 
-// ColumnarDLB is Columnar under a rebalancing policy.
-func (e *Engine) ColumnarDLB(model workload.Model, geom cluster.Config, policy dlb.Spec) (*trace.Columnar, bool, error) {
-	entry, hit, err := e.entry(model, geom, policy, 1)
-	if err != nil {
-		return nil, hit, err
-	}
-	return entry.col, hit, nil
+// ColumnarDLB is DatasetDLB.
+//
+// Deprecated: the service benchmark module (servicebench) calls it, so it
+// stays until that module changes; new code should call DatasetDLB.
+func (e *Engine) ColumnarDLB(model workload.Model, geom cluster.Config, policy dlb.Spec) (*trace.Dataset, bool, error) {
+	return e.DatasetDLB(model, geom, policy)
 }
 
 // PrefetchDLB generates the datasets of several models at one geometry
@@ -216,26 +202,12 @@ func (e *Engine) PrefetchDLB(models []workload.Model, geom cluster.Config, polic
 }
 
 // dataset is DatasetDLB with an expected-concurrency hint from callers
-// that know their fan-out up front (campaigns, PrefetchDLB), so every generation
-// in a batch gets its fair share of CPUs from the start instead of early
-// starters over-allocating.
+// that know their fan-out up front (campaigns, PrefetchDLB), so every
+// generation in a batch gets its fair share of CPUs from the start
+// instead of early starters over-allocating. The policy is canonicalised
+// before keying so spelled-out defaults and bare policy names share an
+// entry.
 func (e *Engine) dataset(model workload.Model, geom cluster.Config, policy dlb.Spec, hint int) (*trace.Dataset, bool, error) {
-	entry, hit, err := e.entry(model, geom, policy, hint)
-	if err != nil {
-		return nil, hit, err
-	}
-	entry.dsOnce.Do(func() {
-		entry.ds = entry.col.Dataset()
-		e.nestedViews.Add(1)
-	})
-	return entry.ds, hit, nil
-}
-
-// entry resolves (model, geometry, policy) to its single-flighted cache
-// entry, generating the columnar store on first request. The policy is
-// canonicalised before keying so spelled-out defaults and bare policy
-// names share an entry.
-func (e *Engine) entry(model workload.Model, geom cluster.Config, policy dlb.Spec, hint int) (*cacheEntry, bool, error) {
 	policy, err := policy.Resolve()
 	if err != nil {
 		return nil, false, err
@@ -281,10 +253,10 @@ func (e *Engine) entry(model workload.Model, geom cluster.Config, policy dlb.Spe
 		_, entry.err = cluster.Fill(cluster.Job{Model: model, Config: geom, Policy: key.DLB,
 			Workers: e.innerWorkers(concurrent), Sink: sink, Progress: progress})
 		if entry.err == nil {
-			entry.col, entry.err = sink.Seal()
+			entry.ds, entry.err = sink.Seal()
 		}
 	})
-	return entry, hit, entry.err
+	return entry.ds, hit, entry.err
 }
 
 // innerWorkers divides the CPUs between concurrent generations so a lone

@@ -232,11 +232,10 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestCampaignPreloadedDatasetAndErrors(t *testing.T) {
 	e := New(2)
-	col, err := cluster.RunColumnarDLB(workload.DefaultMiniQMC(), testGeom(9), dlb.Spec{}, 0)
+	ds, err := cluster.RunColumnarDLB(workload.DefaultMiniQMC(), testGeom(9), dlb.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := col.Dataset()
 	results, err := e.Run(Campaign{Specs: []Spec{
 		{Dataset: ds},
 		{App: "no-such-app"},
@@ -267,9 +266,9 @@ func TestCampaignPreloadedDatasetAndErrors(t *testing.T) {
 	}
 }
 
-// TestColumnarSharesCacheWithDataset: the columnar accessor and the
-// dataset view must come from one generation, share content, and carry
-// the fill-time fingerprint.
+// TestColumnarSharesCacheWithDataset: the deprecated Columnar accessor
+// and DatasetDLB must come from one generation and return the same
+// dataset, carrying the fill-time fingerprint.
 func TestColumnarSharesCacheWithDataset(t *testing.T) {
 	e := New(2)
 	model := &workload.MiniFE{}
@@ -292,21 +291,20 @@ func TestColumnarSharesCacheWithDataset(t *testing.T) {
 	if e.Executions() != 1 {
 		t.Fatalf("%d executions, want 1", e.Executions())
 	}
+	if col != ds {
+		t.Fatal("Columnar and DatasetDLB returned different datasets")
+	}
 	if col.Fingerprint() != ds.Fingerprint() {
 		t.Fatal("columnar and dataset fingerprints differ")
 	}
-	// The view shares the column's storage: same backing array.
-	if &col.TimesColumn()[0] != &ds.Times[0][0][0][0] {
-		t.Fatal("dataset view does not share columnar storage")
-	}
 
-	// Repeated Dataset calls return the same lazily built view.
+	// Repeated Dataset calls return the same cached dataset.
 	ds2, _, err := e.DatasetDLB(model, geom, dlb.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ds2 != ds {
-		t.Fatal("dataset view rebuilt on second call")
+		t.Fatal("dataset rebuilt on second call")
 	}
 }
 

@@ -119,20 +119,3 @@ func TestRunSpecSharesCacheAndKeys(t *testing.T) {
 		t.Error("empty spec did not error")
 	}
 }
-
-func TestNestedViewsStayZeroOnColumnarPath(t *testing.T) {
-	e := New(2)
-	m := workload.DefaultMiniFE()
-	if _, _, err := e.Columnar(m, testGeom(9)); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.NestedViews(); got != 0 {
-		t.Errorf("nested views = %d after columnar-only access, want 0", got)
-	}
-	if _, _, err := e.DatasetDLB(m, testGeom(9), dlb.Spec{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.NestedViews(); got != 1 {
-		t.Errorf("nested views = %d after Dataset access, want 1", got)
-	}
-}

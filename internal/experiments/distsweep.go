@@ -86,7 +86,8 @@ func (s *Suite) DistSweep(cfg DistSweepConfig) map[string][]DistPoint {
 		res := partcomm.Evaluate(d, s.cfg.BytesPerPartition, s.cfg.Fabric, strategies)
 		potential, window := 0.0, 0.0
 		n := 0
-		d.EachProcessIteration(func(_, _, _ int, xs []float64) {
+		for cur := d.Cursor(); cur.Next(); {
+			xs := cur.Block().Times
 			potential += partcomm.PotentialOverlap(xs)
 			min, max := xs[0], xs[0]
 			for _, x := range xs {
@@ -99,7 +100,7 @@ func (s *Suite) DistSweep(cfg DistSweepConfig) map[string][]DistPoint {
 			}
 			window += max - min
 			n++
-		})
+		}
 		if n > 0 {
 			potential /= float64(n)
 			window /= float64(n)

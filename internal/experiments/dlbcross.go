@@ -48,7 +48,7 @@ type E15Cell struct {
 
 // E15DLBCross evaluates the standard delivery-strategy grid against
 // datasets generated under every rebalancing policy — app-major, policy
-// order as E15Policies — entirely on the columnar cursor path. Each
+// order as E15Policies — entirely on the cursor path. Each
 // (app, policy) dataset is a distinct engine cache entry, so repeated
 // renders are cache-served.
 func (s *Suite) E15DLBCross() []E15Cell {
@@ -56,19 +56,19 @@ func (s *Suite) E15DLBCross() []E15Cell {
 	cells := make([]E15Cell, 0, len(AppNames)*len(policies))
 	for _, app := range AppNames {
 		for _, policy := range policies {
-			col, _, err := s.eng.ColumnarDLB(s.models[app], s.cfg.Cluster, policy)
+			ds, _, err := s.eng.DatasetDLB(s.models[app], s.cfg.Cluster, policy)
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %s under %s: %v", app, policy.Name(), err))
 			}
-			metrics := analysis.ComputeMetricsStreaming(app, col.Cursor(), s.cfg.LaggardThresholdSec)
-			lag := analysis.LaggardsStream(col.Cursor(), s.cfg.LaggardThresholdSec)
+			metrics := analysis.ComputeMetricsStreaming(app, ds.Cursor(), s.cfg.LaggardThresholdSec)
+			lag := analysis.LaggardsStream(ds.Cursor(), s.cfg.LaggardThresholdSec)
 			grid := partcomm.Grid(s.E14StrategyTimeouts(), []float64{0.2}, lag)
 			cells = append(cells, E15Cell{
 				App:             app,
 				Policy:          policy,
 				LaggardFraction: metrics.LaggardFraction,
 				MeanMedianSec:   metrics.MeanMedianSec,
-				Sweep:           partcomm.SweepCursor(col.Cursor(), s.cfg.BytesPerPartition, s.cfg.Fabric, grid),
+				Sweep:           partcomm.SweepCursor(ds.Cursor(), s.cfg.BytesPerPartition, s.cfg.Fabric, grid),
 			})
 		}
 	}

@@ -304,19 +304,18 @@ func (s *Suite) E14StrategyTimeouts() []float64 {
 // application — bulk and fine-grained anchors, binned delivery across
 // E14StrategyTimeouts, EWMA-predicted binning, the IQR-switching
 // hybrid, and a laggard-aware policy tuned from each application's
-// measured laggard statistics — entirely on the columnar cursor path:
-// the engine's cached store is read through cursors and the nested
-// tensor view is never built for this experiment.
+// measured laggard statistics — entirely on the cursor path: the
+// engine's cached dataset is read block by block.
 func (s *Suite) E14StrategyFrontier() map[string]partcomm.Sweep {
 	out := map[string]partcomm.Sweep{}
 	for _, app := range AppNames {
-		col, _, err := s.eng.ColumnarDLB(s.models[app], s.cfg.Cluster, s.cfg.DLB)
+		ds, _, err := s.eng.DatasetDLB(s.models[app], s.cfg.Cluster, s.cfg.DLB)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s: %v", app, err))
 		}
-		lag := analysis.LaggardsStream(col.Cursor(), s.cfg.LaggardThresholdSec)
+		lag := analysis.LaggardsStream(ds.Cursor(), s.cfg.LaggardThresholdSec)
 		grid := partcomm.Grid(s.E14StrategyTimeouts(), []float64{0.2}, lag)
-		out[app] = partcomm.SweepCursor(col.Cursor(), s.cfg.BytesPerPartition, s.cfg.Fabric, grid)
+		out[app] = partcomm.SweepCursor(ds.Cursor(), s.cfg.BytesPerPartition, s.cfg.Fabric, grid)
 	}
 	return out
 }

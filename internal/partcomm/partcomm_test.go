@@ -133,7 +133,7 @@ func TestNewSendRecvValidation(t *testing.T) {
 func tinyDataset(rows [][]float64) *trace.Dataset {
 	d := trace.NewDataset("tiny", 1, 1, len(rows), len(rows[0]))
 	for i, row := range rows {
-		copy(d.Times[0][0][i], row)
+		copy(d.Block(0, 0, i), row)
 	}
 	return d
 }

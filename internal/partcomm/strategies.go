@@ -121,10 +121,8 @@ type Result struct {
 // dataset, with one partition per thread of bytesPerPart bytes.
 //
 // Deprecated: Evaluate is a thin adapter over the cursor-native
-// EvaluateStream — it no longer needs a materialised dataset beyond the
-// cursor the view already carries. New code should call EvaluateStream
-// (or StrategyAccumulator) on a trace.Cursor directly so no caller
-// requires the nested view at all.
+// EvaluateStream. New code should call EvaluateStream (or
+// StrategyAccumulator) on a trace.Cursor directly.
 func Evaluate(d *trace.Dataset, bytesPerPart int, f network.Fabric, strategies []Strategy) []Result {
 	return EvaluateStream(d.Cursor(), bytesPerPart, f, strategies)
 }
@@ -144,8 +142,8 @@ func evaluateMaterialized(d *trace.Dataset, bytesPerPart int, f network.Fabric, 
 	potentialSum := 0.0
 	n := 0
 	bulk := Bulk{}
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
-		arrivals := stats.Sorted(xs)
+	for cur := d.Cursor(); cur.Next(); {
+		arrivals := stats.Sorted(cur.Block().Times)
 		bulkFinish := bulk.FinishTime(arrivals, bytesPerPart, f)
 		bulkSum += bulkFinish
 		potentialSum += PotentialOverlap(arrivals)
@@ -153,7 +151,7 @@ func evaluateMaterialized(d *trace.Dataset, bytesPerPart int, f network.Fabric, 
 			finishSums[k] += s.FinishTime(arrivals, bytesPerPart, f)
 		}
 		n++
-	})
+	}
 	for k, s := range strategies {
 		r := Result{Strategy: s.Name()}
 		if n > 0 {

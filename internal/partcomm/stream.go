@@ -2,9 +2,8 @@
 // materialised Evaluate path. A StrategyAccumulator folds one process
 // iteration at a time — sorting the arrivals into a reused scratch
 // buffer, never retaining the block — so delivery strategies evaluate
-// straight off a trace.Cursor (or a cluster.Fill observer) without
-// the nested tensor view ever being built. The campaign engine's
-// NestedViews counter stays at zero on this path.
+// straight off a trace.Cursor (or a cluster.Fill observer), one block
+// of the dataset's column at a time.
 
 package partcomm
 
@@ -183,7 +182,7 @@ func SweepCursor(cur *trace.Cursor, bytesPerPart int, f network.Fabric, strategi
 }
 
 // EvaluateStream is the cursor-native counterpart of Evaluate: identical
-// results, bounded memory, no nested view.
+// results, in O(threads) live memory.
 func EvaluateStream(cur *trace.Cursor, bytesPerPart int, f network.Fabric, strategies []Strategy) []Result {
 	return SweepCursor(cur, bytesPerPart, f, strategies).Results
 }

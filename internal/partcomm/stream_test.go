@@ -13,14 +13,14 @@ import (
 	"earlybird/internal/workload"
 )
 
-// paperColumnar generates the MiniFE study at the paper's full geometry
+// paperDataset generates the MiniFE study at the paper's full geometry
 // once and shares it between the agreement test and the sweep benchmark.
 var (
 	paperOnce sync.Once
-	paperCol  *trace.Columnar
+	paperDS   *trace.Dataset
 )
 
-func paperColumnar(tb testing.TB) *trace.Columnar {
+func paperDataset(tb testing.TB) *trace.Dataset {
 	tb.Helper()
 	paperOnce.Do(func() {
 		model, err := workload.ByName("minife")
@@ -31,9 +31,9 @@ func paperColumnar(tb testing.TB) *trace.Columnar {
 		if err != nil {
 			panic(err)
 		}
-		paperCol = col
+		paperDS = col
 	})
-	return paperCol
+	return paperDS
 }
 
 // testGrid returns a fresh strategy grid covering every strategy family;
@@ -73,12 +73,12 @@ func TestEvaluateStreamMatchesMaterializedPaperGeometry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper geometry in -short mode")
 	}
-	col := paperColumnar(t)
+	col := paperDataset(t)
 	f := network.OmniPath()
 	const bytesPerPart = 1 << 20
 
 	streamed := EvaluateStream(col.Cursor(), bytesPerPart, f, testGrid())
-	exact := evaluateMaterialized(col.Dataset(), bytesPerPart, f, testGrid())
+	exact := evaluateMaterialized(col, bytesPerPart, f, testGrid())
 
 	if len(streamed) != len(exact) {
 		t.Fatalf("streamed %d results, exact %d", len(streamed), len(exact))
@@ -116,7 +116,7 @@ func TestEvaluateAdapterMatchesStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	strategies := []Strategy{Bulk{}, FineGrained{}, Binned{TimeoutSec: 1e-3}}
-	viaAdapter := Evaluate(col.Dataset(), 1<<20, network.OmniPath(), strategies)
+	viaAdapter := Evaluate(col, 1<<20, network.OmniPath(), strategies)
 	viaCursor := EvaluateStream(col.Cursor(), 1<<20, network.OmniPath(), strategies)
 	for i := range viaAdapter {
 		if viaAdapter[i] != viaCursor[i] {
@@ -177,7 +177,7 @@ func TestStrategyAccumulatorMerge(t *testing.T) {
 // TestSweepFrontierPicksMinimumFinish: the frontier names the strategy
 // with the smallest mean finish time and copies its row's values.
 func TestSweepFrontierPicksMinimumFinish(t *testing.T) {
-	col := smallSyntheticColumnar(t)
+	col := smallSyntheticDataset(t)
 	sw := SweepCursor(col.Cursor(), 1<<20, network.OmniPath(), testGrid())
 	if len(sw.Results) != len(testGrid()) {
 		t.Fatalf("got %d results, want %d", len(sw.Results), len(testGrid()))
@@ -199,7 +199,7 @@ func TestSweepFrontierPicksMinimumFinish(t *testing.T) {
 	}
 }
 
-func smallSyntheticColumnar(t *testing.T) *trace.Columnar {
+func smallSyntheticDataset(t *testing.T) *trace.Dataset {
 	t.Helper()
 	model, err := workload.ByName("minife")
 	if err != nil {
@@ -232,7 +232,7 @@ func TestTuneLaggardAware(t *testing.T) {
 // (as core.Options.Policy.Strategies does across repeated Feasibility calls)
 // reproduces the identical result.
 func TestEWMABinnedDeterministicPerInstance(t *testing.T) {
-	col := smallSyntheticColumnar(t)
+	col := smallSyntheticDataset(t)
 	f := network.OmniPath()
 	run := func(e *EWMABinned) []Result {
 		return EvaluateStream(col.Cursor(), 1<<20, f, []Strategy{e})
@@ -256,7 +256,7 @@ func TestEWMABinnedDeterministicPerInstance(t *testing.T) {
 // make bench-json records this as BENCH_strategies.json; the acceptance
 // bar is streaming B/op strictly below materialised B/op.
 func BenchmarkStrategySweep(b *testing.B) {
-	col := paperColumnar(b)
+	col := paperDataset(b)
 	f := network.OmniPath()
 	const bytesPerPart = 1 << 20
 
@@ -270,10 +270,9 @@ func BenchmarkStrategySweep(b *testing.B) {
 		}
 	})
 	b.Run("materialized", func(b *testing.B) {
-		ds := col.Dataset() // view built outside the timer, as the engine cache would
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res := evaluateMaterialized(ds, bytesPerPart, f, testGrid())
+			res := evaluateMaterialized(col, bytesPerPart, f, testGrid())
 			if len(res) == 0 {
 				b.Fatal("empty results")
 			}

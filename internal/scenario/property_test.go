@@ -18,7 +18,7 @@ var propTraceCSV = func() string {
 		for rank := 0; rank < d.Ranks; rank++ {
 			for iter := 0; iter < d.Iterations; iter++ {
 				for th := 0; th < d.Threads; th++ {
-					d.Times[trial][rank][iter][th] = 0.001 * float64(1+rank+iter+th)
+					d.Block(trial, rank, iter)[th] = 0.001 * float64(1+rank+iter+th)
 				}
 			}
 		}

@@ -149,7 +149,7 @@ func testTrace(t *testing.T, app string, ranks int) string {
 		for rank := 0; rank < d.Ranks; rank++ {
 			for iter := 0; iter < d.Iterations; iter++ {
 				for th := 0; th < d.Threads; th++ {
-					d.Times[trial][rank][iter][th] = 0.001 * float64(1+rank+th)
+					d.Block(trial, rank, iter)[th] = 0.001 * float64(1+rank+th)
 				}
 			}
 		}

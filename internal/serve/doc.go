@@ -22,10 +22,9 @@
 //
 // The sweep endpoint fans a grid of (app x geometry x alpha x laggard
 // threshold) cells onto the engine and writes one NDJSON row per cell as
-// it completes. Rows are computed on the columnar cursor path
-// (analysis.ComputeMetricsStreaming / Table1Streaming over
-// engine.Columnar) so the nested tensor view is never built, and
-// geometries larger than Options.MaxCachedSweepSamples bypass the
+// it completes. Rows are computed on the cursor path
+// (analysis.ComputeMetricsStreaming / Table1Streaming over the engine's
+// cached dataset), and geometries larger than Options.MaxCachedSweepSamples bypass the
 // dataset cache entirely via the streaming fill (core.StreamStudy), so
 // huge geometries never materialise server-side in any form.
 //

@@ -134,7 +134,6 @@ func (s *Server) promWriter(w http.ResponseWriter) *telemetry.PromWriter {
 	p.Counter("earlybird_engine_dataset_executions_total", "Dataset generations actually run (cache hits excluded).", float64(s.eng.Executions()))
 	p.Gauge("earlybird_engine_datasets_cached", "Datasets currently in the engine cache.", float64(s.eng.CachedDatasets()))
 	p.Counter("earlybird_engine_datasets_evicted_total", "Datasets evicted by the cache bound.", float64(s.eng.EvictedDatasets()))
-	p.Counter("earlybird_engine_nested_views_total", "Dataset generations that materialised the nested tensor view.", float64(s.eng.NestedViews()))
 	p.Gauge("earlybird_engine_workers", "The server's execution worker budget.", float64(s.eng.Workers()))
 
 	tot := s.tel.Totals()

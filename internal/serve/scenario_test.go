@@ -28,9 +28,10 @@ const scenarioDoc = `{
 func testTraceCSV(t *testing.T) string {
 	t.Helper()
 	ds := trace.NewDataset("captured", 1, 2, 3, 4)
-	for _, trial := range ds.Times {
-		for r, rank := range trial {
-			for i, iter := range rank {
+	for tr := 0; tr < ds.Trials; tr++ {
+		for r := 0; r < ds.Ranks; r++ {
+			for i := 0; i < ds.Iterations; i++ {
+				iter := ds.Block(tr, r, i)
 				for th := range iter {
 					iter[th] = 1e-3 * float64(1+(r+i+th)%5)
 				}

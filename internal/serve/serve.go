@@ -501,7 +501,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Executions:      s.eng.Executions(),
 			CachedDatasets:  s.eng.CachedDatasets(),
 			EvictedDatasets: s.eng.EvictedDatasets(),
-			NestedViews:     s.eng.NestedViews(),
 			Workers:         s.eng.Workers(),
 		},
 	}

@@ -172,12 +172,12 @@ func (s *Server) runShard(req ShardRequest) (ShardResponse, error) {
 	macc := analysis.NewMetricsAccumulator(req.App, req.LaggardSec)
 	tacc := analysis.NewTable1Accumulator(req.App, req.Alpha)
 	if shardGeom.Samples() <= s.maxSweepSamples {
-		col, hit, err := s.eng.ColumnarDLB(model, shardGeom, policy)
+		ds, hit, err := s.eng.DatasetDLB(model, shardGeom, policy)
 		if err != nil {
 			return resp, err
 		}
 		resp.DatasetCacheHit = hit
-		cur := col.Cursor()
+		cur := ds.Cursor()
 		for cur.Next() {
 			b := cur.Block()
 			macc.ObserveBlock(b.Trial+req.TrialLo, b.Rank, b.Iter, b.Times)
@@ -191,11 +191,11 @@ func (s *Server) runShard(req ShardRequest) (ShardResponse, error) {
 			if t > 0 {
 				m = trialShard{Model: base, lo: t}
 			}
-			col, err := cluster.RunColumnarDLB(m, oneTrial, policy, 0)
+			ds, err := cluster.RunColumnarDLB(m, oneTrial, policy, 0)
 			if err != nil {
 				return resp, err
 			}
-			cur := col.Cursor()
+			cur := ds.Cursor()
 			for cur.Next() {
 				b := cur.Block()
 				macc.ObserveBlock(t, b.Rank, b.Iter, b.Times)

@@ -201,10 +201,6 @@ func TestShardCacheKeying(t *testing.T) {
 	if got := s.Engine().Executions(); got != 2 {
 		t.Fatalf("executions after offset shard = %d, want 2", got)
 	}
-	// The nested tensor view is never built on the shard path.
-	if got := s.Engine().NestedViews(); got != 0 {
-		t.Fatalf("shard path built %d nested views, want 0", got)
-	}
 }
 
 // TestShardStreamedPathBitIdentical forces the over-the-cache-bound

@@ -188,8 +188,11 @@ type EngineStats struct {
 	Executions      int64 `json:"dataset_executions"`
 	CachedDatasets  int   `json:"cached_datasets"`
 	EvictedDatasets int64 `json:"evicted_datasets"`
-	NestedViews     int64 `json:"nested_views"`
-	Workers         int   `json:"workers"`
+	// NestedViews always reads 0: the engine caches one flat dataset
+	// form and never builds a nested view. The field stays so clients
+	// that read it keep decoding.
+	NestedViews int64 `json:"nested_views"`
+	Workers     int   `json:"workers"`
 }
 
 // sourceCounters tallies study answers by source, shared by the study,

@@ -237,10 +237,9 @@ func (s *Server) cellKey(c StrategyCell, cfg stratConfig) (strategyCellKey, erro
 	return strategyCellKey{spec: resolved.Key(), grid: cfg.gridHash}, nil
 }
 
-// strategyCell evaluates one cell on the columnar cursor path: laggard
+// strategyCell evaluates one cell on the cursor path: laggard
 // statistics stream first (tuning the laggard-aware policy), then every
-// strategy evaluates in a single cursor pass. The nested tensor view is
-// never built.
+// strategy evaluates in a single cursor pass.
 func (s *Server) strategyCell(c StrategyCell, cfg stratConfig) StrategyRow {
 	row := StrategyRow{
 		Index:             c.Index,
@@ -262,15 +261,15 @@ func (s *Server) strategyCell(c StrategyCell, cfg stratConfig) StrategyRow {
 		row.Err = err.Error()
 		return row
 	}
-	col, hit, err := s.eng.ColumnarDLB(model, c.Geometry, cfg.dlb)
+	ds, hit, err := s.eng.DatasetDLB(model, c.Geometry, cfg.dlb)
 	if err != nil {
 		row.Err = err.Error()
 		return row
 	}
 	row.DatasetCacheHit = hit
-	lag := analysis.LaggardsStream(col.Cursor(), cfg.laggardThreshold)
+	lag := analysis.LaggardsStream(ds.Cursor(), cfg.laggardThreshold)
 	grid := partcomm.Grid(cfg.timeoutsSec, cfg.ewmaAlphas, lag)
-	row.Sweep = partcomm.SweepCursor(col.Cursor(), cfg.bytesPerPartition, cfg.fabric, grid)
+	row.Sweep = partcomm.SweepCursor(ds.Cursor(), cfg.bytesPerPartition, cfg.fabric, grid)
 	return row
 }
 

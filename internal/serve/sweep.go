@@ -145,9 +145,8 @@ func (req SweepRequest) Cells() ([]SweepCell, error) {
 	return cells, nil
 }
 
-// sweepCell analyses one grid cell without ever building the nested
-// tensor view: cached geometries read the engine's columnar store
-// through fresh cursors; larger ones run the bounded-memory streaming
+// sweepCell analyses one grid cell block by block: cached geometries
+// read the engine's dataset through fresh cursors; larger ones run the bounded-memory streaming
 // fill and bypass the cache entirely.
 func (s *Server) sweepCell(c SweepCell) SweepRow {
 	row := SweepRow{
@@ -168,14 +167,14 @@ func (s *Server) sweepCell(c SweepCell) SweepRow {
 			row.Err = err.Error()
 			return row
 		}
-		col, hit, err := s.eng.ColumnarDLB(model, c.Geometry, c.DLB)
+		ds, hit, err := s.eng.DatasetDLB(model, c.Geometry, c.DLB)
 		if err != nil {
 			row.Err = err.Error()
 			return row
 		}
 		row.DatasetCacheHit = hit
-		row.Metrics = analysis.ComputeMetricsStreaming(c.App, col.Cursor(), c.LaggardThresholdSec)
-		row.Table1 = analysis.Table1Streaming(c.App, col.Cursor(), c.Alpha)
+		row.Metrics = analysis.ComputeMetricsStreaming(c.App, ds.Cursor(), c.LaggardThresholdSec)
+		row.Table1 = analysis.Table1Streaming(c.App, ds.Cursor(), c.Alpha)
 	} else {
 		// The streaming fill bypasses the engine (and its progress
 		// factory), so register the cell's live tracker here.

@@ -10,7 +10,7 @@ import (
 func benchDataset() *Dataset {
 	d := NewDataset("bench", 2, 4, 50, 48)
 	v := 0.02
-	d.EachProcessIteration(func(_, _, _ int, xs []float64) {
+	eachBlock(d, func(_, _, _ int, xs []float64) {
 		for i := range xs {
 			xs[i] = v
 			v += 1e-6

@@ -52,10 +52,11 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 
 // ReadCSV parses the long-form CSV written by WriteCSV back into a
 // Dataset. The geometry is inferred from the maximum indices seen; every
-// cell must be present exactly once.
+// cell must be present exactly once. Memory stays proportional to the
+// input's length whatever indices it names.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
+	scanner.Buffer(nil, 1<<20) // grows from 4 KiB as lines demand
 	if !scanner.Scan() {
 		return nil, fmt.Errorf("trace: empty CSV")
 	}
@@ -133,68 +134,28 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("trace: CSV has no data rows")
 	}
+	// The indices come from the input, so check the geometry they imply
+	// against the row count before allocating: a sparse (or overflowing)
+	// geometry must not let a short input allocate a huge column.
+	n, err := sampleCount(maxT+1, maxR+1, maxI+1, maxTh+1)
+	if err != nil {
+		return nil, err
+	}
+	if n > len(rows) {
+		return nil, fmt.Errorf("trace: missing cells: indices imply %dx%dx%dx%d = %d cells, CSV has %d rows",
+			maxT+1, maxR+1, maxI+1, maxTh+1, n, len(rows))
+	}
+	// Now n <= len(rows), so every cell is present unless some cell is
+	// duplicated.
 	d := NewDataset(app, maxT+1, maxR+1, maxI+1, maxTh+1)
-	seen := make([]bool, d.NumSamples())
+	seen := make([]bool, n)
 	for _, rw := range rows {
 		idx := ((rw.trial*d.Ranks+rw.rank)*d.Iterations+rw.iter)*d.Threads + rw.thread
 		if seen[idx] {
 			return nil, fmt.Errorf("trace: duplicate cell (%d,%d,%d,%d)", rw.trial, rw.rank, rw.iter, rw.thread)
 		}
 		seen[idx] = true
-		d.Times[rw.trial][rw.rank][rw.iter][rw.thread] = rw.sec
-	}
-	for i, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("trace: missing cell at flat index %d", i)
-		}
+		d.times[idx] = rw.sec
 	}
 	return d, nil
-}
-
-// SliceIterations returns a new dataset restricted to iterations
-// [from, to) — used for phase-wise analysis (MiniMD) and warm-up
-// trimming.
-func (d *Dataset) SliceIterations(from, to int) (*Dataset, error) {
-	if from < 0 || to > d.Iterations || from >= to {
-		return nil, fmt.Errorf("trace: iteration slice [%d, %d) outside [0, %d)", from, to, d.Iterations)
-	}
-	out := NewDataset(d.App, d.Trials, d.Ranks, to-from, d.Threads)
-	for t := 0; t < d.Trials; t++ {
-		for r := 0; r < d.Ranks; r++ {
-			for i := from; i < to; i++ {
-				copy(out.Times[t][r][i-from], d.Times[t][r][i])
-			}
-		}
-	}
-	return out, nil
-}
-
-// MergeTrials concatenates the trials of datasets with identical app and
-// per-trial geometry — combining repeated collection campaigns.
-func MergeTrials(ds ...*Dataset) (*Dataset, error) {
-	if len(ds) == 0 {
-		return nil, fmt.Errorf("trace: nothing to merge")
-	}
-	first := ds[0]
-	total := 0
-	for _, d := range ds {
-		if d.App != first.App || d.Ranks != first.Ranks ||
-			d.Iterations != first.Iterations || d.Threads != first.Threads {
-			return nil, fmt.Errorf("trace: geometry/app mismatch merging %q", d.App)
-		}
-		total += d.Trials
-	}
-	out := NewDataset(first.App, total, first.Ranks, first.Iterations, first.Threads)
-	t := 0
-	for _, d := range ds {
-		for _, trial := range d.Times {
-			for r, rank := range trial {
-				for i, iter := range rank {
-					copy(out.Times[t][r][i], iter)
-				}
-			}
-			t++
-		}
-	}
-	return out, nil
 }

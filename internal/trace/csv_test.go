@@ -9,7 +9,7 @@ import (
 func TestCSVRoundTrip(t *testing.T) {
 	d := NewDataset("fe", 2, 3, 4, 5)
 	v := 0.001
-	d.EachProcessIteration(func(_, _, _ int, xs []float64) {
+	eachBlock(d, func(_, _, _ int, xs []float64) {
 		for i := range xs {
 			xs[i] = v
 			v += 0.0005
@@ -149,8 +149,8 @@ func TestReadCSVEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Trials != 2 || d.Threads != 2 || d.Times[1][0][0][1] != 5 || d.Times[0][0][0][0] != 1 {
-			t.Fatalf("reconstruction wrong: %+v", d.Times)
+		if d.Trials != 2 || d.Threads != 2 || d.Block(1, 0, 0)[1] != 5 || d.Block(0, 0, 0)[0] != 1 {
+			t.Fatalf("reconstruction wrong: %v", d.AllSamples())
 		}
 	})
 	t.Run("huge line within buffer parses", func(t *testing.T) {
@@ -177,68 +177,8 @@ func TestReadCSVSkipsBlankLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Times[0][0][0][0] != 0.5 {
+	if d.Block(0, 0, 0)[0] != 0.5 {
 		t.Fatal("value lost")
-	}
-}
-
-func TestSliceIterations(t *testing.T) {
-	d := NewDataset("x", 1, 1, 6, 2)
-	for i := 0; i < 6; i++ {
-		d.Times[0][0][i][0] = float64(i)
-		d.Times[0][0][i][1] = float64(i) + 0.5
-	}
-	s, err := d.SliceIterations(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Iterations != 3 || s.Times[0][0][0][0] != 2 || s.Times[0][0][2][1] != 4.5 {
-		t.Fatalf("slice wrong: %+v", s.Times[0][0])
-	}
-	// Slicing copies: mutating the slice must not touch the original.
-	s.Times[0][0][0][0] = 99
-	if d.Times[0][0][2][0] == 99 {
-		t.Fatal("slice aliases original")
-	}
-	for _, rng := range [][2]int{{-1, 3}, {0, 7}, {3, 3}, {4, 2}} {
-		if _, err := d.SliceIterations(rng[0], rng[1]); err == nil {
-			t.Errorf("slice [%d,%d) accepted", rng[0], rng[1])
-		}
-	}
-}
-
-func TestMergeTrials(t *testing.T) {
-	a := NewDataset("x", 1, 2, 3, 4)
-	b := NewDataset("x", 2, 2, 3, 4)
-	a.Times[0][1][2][3] = 1.5
-	b.Times[1][0][0][0] = 2.5
-	m, err := MergeTrials(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Trials != 3 {
-		t.Fatalf("trials = %d", m.Trials)
-	}
-	if m.Times[0][1][2][3] != 1.5 || m.Times[2][0][0][0] != 2.5 {
-		t.Fatal("values misplaced")
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeTrialsErrors(t *testing.T) {
-	if _, err := MergeTrials(); err == nil {
-		t.Error("empty merge accepted")
-	}
-	a := NewDataset("x", 1, 2, 3, 4)
-	b := NewDataset("y", 1, 2, 3, 4)
-	if _, err := MergeTrials(a, b); err == nil {
-		t.Error("mixed apps accepted")
-	}
-	c := NewDataset("x", 1, 2, 3, 5)
-	if _, err := MergeTrials(a, c); err == nil {
-		t.Error("mixed geometry accepted")
 	}
 }
 
@@ -250,7 +190,7 @@ func TestCSVRoundTripNonTrivialGeometry(t *testing.T) {
 	const trials, ranks, iters, threads = 3, 5, 17, 7
 	d := NewDataset("qmc", trials, ranks, iters, threads)
 	x := uint64(0x9e3779b97f4a7c15)
-	d.EachProcessIteration(func(_, _, _ int, xs []float64) {
+	eachBlock(d, func(_, _, _ int, xs []float64) {
 		for i := range xs {
 			// splitmix-style values spanning many magnitudes.
 			x ^= x << 13

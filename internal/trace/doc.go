@@ -1,5 +1,5 @@
 // Package trace implements the paper's instrumentation methodology
-// (Section 3.1) and the storage forms a study's samples live in.
+// (Section 3.1) and the one form a study's samples live in.
 //
 // Instrumentation: the Recorder collects, per thread and per iteration,
 // the monotonic timestamps at which a thread enters and exits a parallel
@@ -11,13 +11,12 @@
 // nodes (experiment E13). See trace.go for the Listing 1 mirror.
 //
 // Storage: a study's samples form a dense relation over (trial, rank,
-// iteration, thread, compute_seconds). The Columnar store keeps the one
+// iteration, thread, compute_seconds). A Dataset keeps the one
 // compute-time column flat with the four index columns implicit in the
-// row number; Dataset is the nested [][][][] view over the same storage
-// for random-access analysis. Data enters through a Sink (independent
-// per-stripe writers, zero-copy fills, fingerprint accumulated during
-// the fill) and leaves through Cursors (block-at-a-time zero-copy
-// iteration) — the bounded-memory path the streaming analysis and the
-// serve layer's NDJSON sweeps read. JSON and CSV round-trips live in
-// dataset.go and csv.go.
+// row number. Data enters through a Sink (independent per-stripe
+// writers, zero-copy fills, fingerprint accumulated during the fill) and
+// leaves through Block and Cursors (block-at-a-time zero-copy iteration)
+// — the path the exact and streaming analyses and the serve layer's
+// NDJSON sweeps read. JSON and CSV round-trips live in dataset.go and
+// csv.go.
 package trace

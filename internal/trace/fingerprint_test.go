@@ -9,7 +9,7 @@ func TestFingerprintDiscriminates(t *testing.T) {
 		t.Error("identical datasets have different fingerprints")
 	}
 
-	b.Times[0][1][2][3] = 1e-6
+	b.Block(0, 1, 2)[3] = 1e-6
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Error("sample change not reflected in fingerprint")
 	}
@@ -28,15 +28,11 @@ func TestFingerprintDiscriminates(t *testing.T) {
 
 func TestFingerprintStableAcrossCalls(t *testing.T) {
 	d := NewDataset("app", 2, 2, 2, 2)
-	for i := range d.Times {
-		for j := range d.Times[i] {
-			for k := range d.Times[i][j] {
-				for l := range d.Times[i][j][k] {
-					d.Times[i][j][k][l] = float64(i*1000+j*100+k*10+l) * 1e-6
-				}
-			}
+	eachBlock(d, func(i, j, k int, xs []float64) {
+		for l := range xs {
+			xs[l] = float64(i*1000+j*100+k*10+l) * 1e-6
 		}
-	}
+	})
 	if d.Fingerprint() != d.Fingerprint() {
 		t.Error("fingerprint not deterministic")
 	}

@@ -7,10 +7,20 @@ import (
 	"testing"
 )
 
+// eachBlock calls fn for every process iteration of d in (trial, rank,
+// iteration) order, handing it the block's view of the column so tests
+// can fill a fresh dataset in place.
+func eachBlock(d *Dataset, fn func(trial, rank, iter int, xs []float64)) {
+	for cur := d.Cursor(); cur.Next(); {
+		b := cur.Block()
+		fn(b.Trial, b.Rank, b.Iter, b.Times)
+	}
+}
+
 // fillPattern writes a recognisable, coordinate-derived value into every
 // cell of a dataset.
 func fillPattern(d *Dataset) {
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
+	eachBlock(d, func(trial, rank, iter int, xs []float64) {
 		for th := range xs {
 			xs[th] = patternValue(trial, rank, iter, th)
 		}
@@ -50,14 +60,13 @@ func TestSinkParallelFillMatchesDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := col.Dataset()
 	for tr := 0; tr < trials; tr++ {
 		for r := 0; r < ranks; r++ {
 			for i := 0; i < iters; i++ {
+				got, exp := col.Block(tr, r, i), want.Block(tr, r, i)
 				for th := 0; th < threads; th++ {
-					if got.Times[tr][r][i][th] != want.Times[tr][r][i][th] {
-						t.Fatalf("cell (%d,%d,%d,%d) = %v, want %v",
-							tr, r, i, th, got.Times[tr][r][i][th], want.Times[tr][r][i][th])
+					if got[th] != exp[th] {
+						t.Fatalf("cell (%d,%d,%d,%d) = %v, want %v", tr, r, i, th, got[th], exp[th])
 					}
 				}
 			}
@@ -65,12 +74,12 @@ func TestSinkParallelFillMatchesDataset(t *testing.T) {
 	}
 
 	// The fingerprint accumulated during the fill must equal the one
-	// recomputed from scratch over the nested view.
-	if got.Fingerprint() != want.Fingerprint() {
-		t.Fatal("sealed fingerprint differs from recomputed fingerprint")
+	// recomputed from scratch.
+	if !col.hasFP || want.hasFP {
+		t.Fatal("only the sealed dataset should carry a cached fingerprint")
 	}
 	if col.Fingerprint() != want.Fingerprint() {
-		t.Fatal("columnar fingerprint differs from dataset fingerprint")
+		t.Fatal("sealed fingerprint differs from recomputed fingerprint")
 	}
 }
 
@@ -102,15 +111,19 @@ func TestCursorVisitsEveryBlockInOrder(t *testing.T) {
 	d := NewDataset("app", 2, 3, 4, 2)
 	fillPattern(d)
 	var wantOrder [][3]int
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
-		wantOrder = append(wantOrder, [3]int{trial, rank, iter})
-	})
+	for trial := 0; trial < d.Trials; trial++ {
+		for rank := 0; rank < d.Ranks; rank++ {
+			for iter := 0; iter < d.Iterations; iter++ {
+				wantOrder = append(wantOrder, [3]int{trial, rank, iter})
+			}
+		}
+	}
 	cur := d.Cursor()
 	n := 0
 	for cur.Next() {
 		b := cur.Block()
 		if n >= len(wantOrder) {
-			t.Fatal("cursor yields more blocks than EachProcessIteration")
+			t.Fatal("cursor yields more blocks than the dataset holds")
 		}
 		if got := [3]int{b.Trial, b.Rank, b.Iter}; got != wantOrder[n] {
 			t.Fatalf("block %d = %v, want %v", n, got, wantOrder[n])
@@ -154,17 +167,21 @@ func TestCursorRange(t *testing.T) {
 	}
 }
 
+// TestColumnarCoordRoundTrip: the block of (trial, rank, iteration) sits
+// at row ((trial*ranks+rank)*iterations+iteration)*threads of the column,
+// so the four index columns stay implicit in the row number.
 func TestColumnarCoordRoundTrip(t *testing.T) {
-	c := newColumnar("app", 2, 3, 4, 5)
+	d := NewDataset("app", 2, 3, 4, 5)
+	for row := range d.times {
+		d.times[row] = float64(row)
+	}
 	row := 0
 	for tr := 0; tr < 2; tr++ {
 		for r := 0; r < 3; r++ {
 			for i := 0; i < 4; i++ {
-				for th := 0; th < 5; th++ {
-					gt, gr, gi, gth := c.Coord(row)
-					if gt != tr || gr != r || gi != i || gth != th {
-						t.Fatalf("Coord(%d) = (%d,%d,%d,%d), want (%d,%d,%d,%d)",
-							row, gt, gr, gi, gth, tr, r, i, th)
+				for th, x := range d.Block(tr, r, i) {
+					if x != float64(row) {
+						t.Fatalf("Block(%d,%d,%d)[%d] is row %v, want row %d", tr, r, i, th, x, row)
 					}
 					row++
 				}
@@ -184,37 +201,27 @@ func TestDatasetColumnarAdoptsJSONDecoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.col != nil {
-		t.Fatal("JSON-decoded dataset unexpectedly has a backing store")
+	if back.NumSamples() != d.NumSamples() {
+		t.Fatalf("decoded column has %d samples, want %d", back.NumSamples(), d.NumSamples())
 	}
-	c := back.Columnar()
-	if c.NumSamples() != d.NumSamples() {
-		t.Fatalf("adopted columnar has %d samples, want %d", c.NumSamples(), d.NumSamples())
+	if back.Fingerprint() != d.Fingerprint() {
+		t.Fatal("decoded fingerprint differs")
 	}
-	if c.Fingerprint() != d.Fingerprint() {
-		t.Fatal("adopted columnar fingerprint differs")
-	}
-	if back.Columnar() != c {
-		t.Fatal("Columnar not cached after adoption")
-	}
-	// The zero-copy column matches the nested view.
-	if got := c.Block(1, 1, 2); got[1] != back.Times[1][1][2][1] {
-		t.Fatalf("block view %v does not match nested view %v", got[1], back.Times[1][1][2][1])
+	if got := back.Block(1, 1, 2); got[1] != patternValue(1, 1, 2, 1) {
+		t.Fatalf("decoded block sample %v, want %v", got[1], patternValue(1, 1, 2, 1))
 	}
 }
 
 func TestColumnarTimesColumnSharesStorage(t *testing.T) {
 	d := NewDataset("app", 1, 1, 2, 3)
-	d.Times[0][0][1][2] = 42e-3
-	col := d.Columnar()
-	flat := col.TimesColumn()
-	if len(flat) != 6 {
-		t.Fatalf("column length %d", len(flat))
+	d.Block(0, 0, 1)[2] = 42e-3
+	if len(d.times) != 6 {
+		t.Fatalf("column length %d", len(d.times))
 	}
-	if flat[5] != 42e-3 {
-		t.Fatalf("flat[5] = %v, want 42e-3 (storage not shared)", flat[5])
+	if d.times[5] != 42e-3 {
+		t.Fatalf("times[5] = %v, want 42e-3 (storage not shared)", d.times[5])
 	}
-	if math.IsNaN(flat[0]) {
+	if math.IsNaN(d.times[0]) {
 		t.Fatal("unexpected NaN")
 	}
 }

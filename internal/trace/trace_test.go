@@ -118,7 +118,7 @@ func TestDatasetGeometryAndAggregations(t *testing.T) {
 	}
 	// Fill with a recognisable pattern.
 	val := 0.0
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
+	eachBlock(d, func(trial, rank, iter int, xs []float64) {
 		for th := range xs {
 			xs[th] = val
 			val++
@@ -131,9 +131,9 @@ func TestDatasetGeometryAndAggregations(t *testing.T) {
 	if len(it) != 2*3*5 {
 		t.Fatalf("IterationSamples length %d", len(it))
 	}
-	pi := d.ProcessIteration(1, 2, 3)
+	pi := d.Block(1, 2, 3)
 	if len(pi) != 5 {
-		t.Fatalf("ProcessIteration length %d", len(pi))
+		t.Fatalf("Block length %d", len(pi))
 	}
 }
 
@@ -147,8 +147,8 @@ func TestDatasetSetFromRecorder(t *testing.T) {
 	}
 	d := NewDataset("x", 1, 1, 2, 3)
 	d.SetFromRecorder(0, 0, rec)
-	if d.Times[0][0][1][2] != 0.005 {
-		t.Fatalf("copied value = %v", d.Times[0][0][1][2])
+	if got := d.Block(0, 0, 1)[2]; got != 0.005 {
+		t.Fatalf("copied value = %v", got)
 	}
 }
 
@@ -165,8 +165,7 @@ func TestDatasetSetFromRecorderGeometryMismatchPanics(t *testing.T) {
 
 func TestDatasetCSV(t *testing.T) {
 	d := NewDataset("md", 1, 1, 1, 2)
-	d.Times[0][0][0][0] = 0.024
-	d.Times[0][0][0][1] = 0.025
+	copy(d.Block(0, 0, 0), []float64{0.024, 0.025})
 	var buf bytes.Buffer
 	if err := d.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -185,7 +184,7 @@ func TestDatasetCSV(t *testing.T) {
 
 func TestDatasetJSONRoundTrip(t *testing.T) {
 	d := NewDataset("qmc", 2, 2, 2, 2)
-	d.Times[1][1][1][1] = 0.06091
+	d.Block(1, 1, 1)[1] = 0.06091
 	var buf bytes.Buffer
 	if err := d.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -194,7 +193,7 @@ func TestDatasetJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.App != "qmc" || back.Times[1][1][1][1] != 0.06091 {
+	if back.App != "qmc" || back.Block(1, 1, 1)[1] != 0.06091 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 }
@@ -211,8 +210,8 @@ func TestReadJSONRejectsBadGeometry(t *testing.T) {
 
 func TestValidateDeepMismatch(t *testing.T) {
 	d := NewDataset("x", 1, 1, 1, 2)
-	d.Times[0][0][0] = d.Times[0][0][0][:1] // truncate threads
+	d.times = d.times[:1] // truncate the last thread's sample
 	if err := d.Validate(); err == nil {
-		t.Fatal("expected thread-count mismatch error")
+		t.Fatal("expected sample-count mismatch error")
 	}
 }

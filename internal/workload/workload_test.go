@@ -16,11 +16,11 @@ import (
 // mustFill generates cfg's dataset for m under the static policy.
 func mustFill(t *testing.T, m workload.Model, cfg cluster.Config) *trace.Dataset {
 	t.Helper()
-	col, err := cluster.RunColumnarDLB(m, cfg, dlb.Spec{}, 0)
+	d, err := cluster.RunColumnarDLB(m, cfg, dlb.Spec{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return col.Dataset()
+	return d
 }
 
 // calCfg is large enough for stable rate estimates (1600 process
