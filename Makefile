@@ -150,14 +150,19 @@ cover:
 		printf "coverage %.1f%% meets the %.1f%% floor\n", total, floor; \
 	}'
 
-# 10-second coverage-guided smokes of the strategy-ordering laws and of
-# the two dataset decoders (trace.ReadCSV, trace.ReadJSON: no panic,
-# allocation bounded by input length, accepted input survives a
-# re-encode). The checked-in corpora replay in plain `make test` as well.
+# 10-second coverage-guided smokes of the strategy-ordering laws, the
+# two dataset decoders (trace.ReadCSV, trace.ReadJSON) and the three
+# accumulator state decoders (the quantile sketch, MetricsAccumulator
+# and Table1Accumulator): no panic, allocation bounded by input length,
+# accepted input survives a re-encode (and accepted accumulator state
+# merges). The checked-in corpora replay in plain `make test` as well.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStrategyOrdering$$' -fuzztime 10s ./internal/partcomm
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzSketchUnmarshal$$' -fuzztime 10s ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzMetricsAccumulatorUnmarshal$$' -fuzztime 10s ./internal/analysis
+	$(GO) test -run '^$$' -fuzz '^FuzzTable1AccumulatorUnmarshal$$' -fuzztime 10s ./internal/analysis
 
 lint:
 	$(GO) vet ./...

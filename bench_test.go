@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"earlybird"
+	"earlybird/internal/core"
 	"earlybird/internal/experiments"
 	"earlybird/internal/network"
 	"earlybird/internal/partcomm"
@@ -380,4 +381,31 @@ func BenchmarkStudyCold(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkStreamCell splits one streamed /v1/sweep cell at the paper's
+// geometry: "study" is core.StreamStudy, whose application-level
+// summary feeds every sample through the moments and the quantile
+// sketch one value at a time, as cmd/analyze runs it; "cell" is
+// core.StreamCell, the summary-free entry point the sweep runs. Both
+// compute the same metrics and Table 1 row; the difference is the
+// summary's cost.
+func BenchmarkStreamCell(b *testing.B) {
+	opts := core.Options{App: "minife"}
+	b.Run("study", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.StreamStudy(opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cell", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := core.StreamCell(opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -268,20 +268,23 @@ func TestNormalitySummaryAndTable1OnDegenerate(t *testing.T) {
 			xs[i] = 0.02
 		}
 	})
-	s := ProcessIterationNormality(d, normality.DefaultAlpha)
+	s := ApplicationIterationNormality(d, normality.DefaultAlpha)
+	t1 := Table1Row(d, normality.DefaultAlpha)
 	for _, test := range normality.Tests {
 		if s.PassRate(test) != 0 {
 			t.Errorf("%v: pass rate %v on constant data", test, s.PassRate(test))
 		}
+		if t1.PassRates[test] != 0 {
+			t.Errorf("%v: table1 pass rate %v on constant data", test, t1.PassRates[test])
+		}
 	}
-	t1 := Table1Row(d, normality.DefaultAlpha)
 	if t1.App != "const" {
 		t.Errorf("table1 app = %q", t1.App)
 	}
 	if !strings.Contains(t1.String(), "const") {
 		t.Errorf("table1 render = %q", t1.String())
 	}
-	if !strings.Contains(s.String(), "process iteration") {
+	if !strings.Contains(s.String(), "application iteration") {
 		t.Errorf("summary render = %q", s.String())
 	}
 }
@@ -301,8 +304,14 @@ func TestNormalitySummaryPassedSets(t *testing.T) {
 			xs[i] = 0.02
 		}
 	}
-	s := ProcessIterationNormality(d, normality.DefaultAlpha)
+	// One trial of one rank: each application iteration is exactly one
+	// process iteration, so iteration indices name the sets.
+	s := ApplicationIterationNormality(d, normality.DefaultAlpha)
+	t1 := Table1Row(d, normality.DefaultAlpha)
 	for _, test := range normality.Tests {
+		if want := float64(len(s.PassedSets[test])) / 3; t1.PassRates[test] != want {
+			t.Errorf("%v: table1 pass rate %v, want %v", test, t1.PassRates[test], want)
+		}
 		for _, idx := range s.PassedSets[test] {
 			if idx != 1 {
 				t.Errorf("%v: unexpected passing set %d", test, idx)

@@ -108,8 +108,13 @@ func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 		for j := uint32(0); j < nIters && r.Err() == nil; j++ {
 			iter := int(r.I64())
 			ip := &iterPartial{n: r.I64(), sum: r.F64(), max: r.F64()}
-			if r.Err() == nil && ip.n < 0 {
-				return fmt.Errorf("analysis: corrupt iteration %d count %d in trial %d", iter, ip.n, trial)
+			if r.Err() == nil {
+				if ip.n < 0 {
+					return fmt.Errorf("analysis: corrupt iteration %d count %d in trial %d", iter, ip.n, trial)
+				}
+				if _, dup := ta.iters[iter]; dup {
+					return fmt.Errorf("analysis: duplicate iteration %d in trial %d of encoded state", iter, trial)
+				}
 			}
 			ta.iters[iter] = ip
 		}
@@ -121,6 +126,9 @@ func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 		enc := r.Bytes()
 		if r.Err() != nil {
 			break
+		}
+		if _, dup := dec.sketches[iter]; dup {
+			return fmt.Errorf("analysis: duplicate iteration %d sketch in encoded state", iter)
 		}
 		sk := new(stats.QuantileSketch)
 		if err := sk.UnmarshalBinary(enc); err != nil {

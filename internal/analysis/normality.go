@@ -72,23 +72,6 @@ func ApplicationIterationNormality(d *trace.Dataset, alpha float64) *NormalitySu
 	return s
 }
 
-// ProcessIterationNormality tests every (trial, rank, iteration) thread
-// set (16000 sets of 48 at the paper's geometry) — the population of the
-// paper's Table 1.
-func ProcessIterationNormality(d *trace.Dataset, alpha float64) *NormalitySummary {
-	s := &NormalitySummary{Level: "process iteration", Total: d.NumProcessIterations()}
-	for cur, idx := d.Cursor(), 0; cur.Next(); idx++ {
-		res := normality.Battery(cur.Block().Times, alpha)
-		for _, t := range normality.Tests {
-			if res[t].Passed() {
-				s.Passed[t]++
-				s.PassedSets[t] = append(s.PassedSets[t], idx)
-			}
-		}
-	}
-	return s
-}
-
 // Table1 holds one application's row of the paper's Table 1: the
 // percentage of process iterations that passed each normality test.
 type Table1 struct {

@@ -5,13 +5,14 @@ package analysis_test
 // code replaced — math.Pow central moments, a sort.Float64s median and
 // IQR per sample set, a freshly allocated IterationSamples slice per
 // application iteration, and the normality battery run per block with
-// per-test sorting. Every tuned output must equal its reference bit for
-// bit.
+// per-test sorting and two math.Erfc calls per Anderson-Darling term.
+// Every tuned output must equal its reference bit for bit.
 
 import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"earlybird/internal/analysis"
@@ -197,13 +198,68 @@ func oracleDAgostinoK2(xs []float64, alpha float64) (normality.Result, error) {
 	}, nil
 }
 
+// oracleLogNormalCDF is ln Phi(x) from its own math.Erfc call, with the
+// asymptotic tail below -37.
+func oracleLogNormalCDF(x float64) float64 {
+	if x > -37 {
+		return math.Log(0.5 * math.Erfc(-x/math.Sqrt2))
+	}
+	return -x*x/2 - math.Log(-x) - 0.5*math.Log(2*math.Pi)
+}
+
+// oracleAndersonDarling is the case-3 Anderson-Darling test with two
+// math.Erfc evaluations per term, summed in i order, on a sort.Float64s
+// copy; the p-value approximation and Stephens' 5% critical value are
+// spelled out here rather than read from the package.
+func oracleAndersonDarling(xs []float64, alpha float64) (normality.Result, error) {
+	n := len(xs)
+	if n < 8 {
+		return normality.Result{}, normality.ErrSampleTooSmall
+	}
+	if alpha != normality.DefaultAlpha {
+		panic("oracleAndersonDarling knows only the 5% critical value")
+	}
+	x := append([]float64(nil), xs...)
+	sort.Float64s(x)
+	if x[0] == x[n-1] {
+		return normality.Result{}, normality.ErrConstantSample
+	}
+	mean, sd := stats.Mean(x), stats.StdDev(x)
+	nf := float64(n)
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		zi := (x[i] - mean) / sd
+		zrev := (x[n-1-i] - mean) / sd
+		sum += (2*float64(i+1) - 1) * (oracleLogNormalCDF(zi) + oracleLogNormalCDF(-zrev))
+	}
+	a2 := (-nf - sum/nf) * (1 + 0.75/nf + 2.25/(nf*nf))
+	var p float64
+	switch {
+	case a2 >= 0.6:
+		p = math.Exp(1.2937 - 5.709*a2 + 0.0186*a2*a2)
+	case a2 >= 0.34:
+		p = math.Exp(0.9177 - 4.279*a2 - 1.38*a2*a2)
+	case a2 >= 0.2:
+		p = 1 - math.Exp(-8.318+42.796*a2-59.938*a2*a2)
+	default:
+		p = 1 - math.Exp(-13.436+101.14*a2-223.73*a2*a2)
+	}
+	return normality.Result{
+		Test:         normality.AndersonDarling,
+		Statistic:    a2,
+		PValue:       p,
+		RejectNormal: a2 > 0.787,
+		N:            n,
+	}, nil
+}
+
 // oracleBattery runs each test through its own entry point, each
 // sorting its own copy; a test that cannot run counts as a rejection.
 func oracleBattery(xs []float64, alpha float64) [3]normality.Result {
 	tests := [3]func([]float64, float64) (normality.Result, error){
 		normality.DAgostino:       oracleDAgostinoK2,
 		normality.ShapiroWilk:     normality.ShapiroWilkTest,
-		normality.AndersonDarling: normality.AndersonDarlingTest,
+		normality.AndersonDarling: oracleAndersonDarling,
 	}
 	var out [3]normality.Result
 	for _, t := range normality.Tests {
@@ -353,16 +409,30 @@ func TestExactAnalysisMatchesOracle(t *testing.T) {
 				}
 				assertBitEqual(t, name+" table1", analysis.Table1Row(d, alpha), oracleTable1Row(d, alpha))
 
-				mismatches := 0
+				// Every block's three results, statistic, p-value and
+				// verdict, from the shared-sort battery the accumulators
+				// run and from the per-test entry points.
+				var mismatches [3]int
 				eachBlock(d, func(_, _, _ int, xs []float64) {
-					got, err1 := normality.DAgostinoK2(xs, alpha)
-					want, err2 := oracleDAgostinoK2(xs, alpha)
-					if err1 != err2 || !bitEqual(reflect.ValueOf(got), reflect.ValueOf(want)) {
-						mismatches++
+					sorted := append([]float64(nil), xs...)
+					sort.Float64s(sorted)
+					got, want := normality.BatterySorted(xs, sorted, alpha), oracleBattery(xs, alpha)
+					for _, test := range normality.Tests {
+						if !bitEqual(reflect.ValueOf(got[test]), reflect.ValueOf(want[test])) {
+							mismatches[test]++
+						}
+					}
+					for _, test := range []normality.Test{normality.ShapiroWilk, normality.AndersonDarling} {
+						r, err := normality.Run(test, xs, alpha)
+						if err != nil || !bitEqual(reflect.ValueOf(r), reflect.ValueOf(want[test])) {
+							mismatches[test]++
+						}
 					}
 				})
-				if mismatches > 0 {
-					t.Errorf("%s: D'Agostino differs from the Pow-moment oracle on %d blocks", name, mismatches)
+				for _, test := range normality.Tests {
+					if mismatches[test] > 0 {
+						t.Errorf("%s: %v differs from its oracle on %d blocks", name, test, mismatches[test])
+					}
 				}
 			}
 		}

@@ -102,16 +102,23 @@ func (a *MetricsAccumulator) Blocks() int64 {
 // ObserveBlock implements cluster.BlockObserver: it folds one complete
 // process iteration into the accumulator. xs is not retained.
 func (a *MetricsAccumulator) ObserveBlock(trial, rank, iter int, xs []float64) {
+	a.ObserveSorted(trial, rank, iter, xs, a.bs.sort(xs))
+}
+
+// ObserveSorted is ObserveBlock for a caller that already holds sorted,
+// an ascending copy of xs, so that one sort can serve several
+// accumulators (see ObserveCursor). Neither slice is retained or
+// modified.
+func (a *MetricsAccumulator) ObserveSorted(trial, rank, iter int, xs, sorted []float64) {
 	n := len(xs)
 	if n == 0 {
 		return
 	}
-	// One copy + one sort serves everything below: the sum accumulates
+	// The one sorted copy serves everything below: the sum accumulates
 	// in the original block order (bit-identical to the historical
 	// scan), the max is the sorted tail, the median reads the sorted
-	// scratch, and the sorted scratch then feeds the iteration sketch
-	// through its no-buffer AddSorted fast path.
-	sorted := a.bs.sort(xs)
+	// copy, which then feeds the iteration sketch through its no-buffer
+	// AddSorted fast path.
 	max := sorted[n-1]
 	med := stats.PercentileSorted(sorted, 50)
 	sum := 0.0
@@ -303,11 +310,11 @@ func ComputeMetricsStreaming(app string, cur *trace.Cursor, laggardThreshold flo
 // per complete block, so streaming results are exactly the materialised
 // ones. Mergeable like MetricsAccumulator; not safe for concurrent use.
 type Table1Accumulator struct {
-	app     string
-	alpha   float64
-	total   int
-	passed  [3]int
-	scratch []float64 // reused sorted copy for the battery
+	app    string
+	alpha  float64
+	total  int
+	passed [3]int
+	bs     blockSorter
 }
 
 // NewTable1Accumulator returns an empty accumulator at significance
@@ -319,10 +326,13 @@ func NewTable1Accumulator(app string, alpha float64) *Table1Accumulator {
 // ObserveBlock implements cluster.BlockObserver: it runs the three-test
 // battery on one complete process iteration.
 func (a *Table1Accumulator) ObserveBlock(trial, rank, iter int, xs []float64) {
-	if cap(a.scratch) < len(xs) {
-		a.scratch = make([]float64, len(xs))
-	}
-	res := normality.BatteryScratch(xs, a.scratch, a.alpha)
+	a.ObserveSorted(trial, rank, iter, xs, a.bs.sort(xs))
+}
+
+// ObserveSorted is ObserveBlock for a caller that already holds sorted,
+// an ascending copy of xs. Neither slice is modified.
+func (a *Table1Accumulator) ObserveSorted(trial, rank, iter int, xs, sorted []float64) {
+	res := normality.BatterySorted(xs, sorted, a.alpha)
 	a.total++
 	for _, t := range normality.Tests {
 		if res[t].Passed() {
@@ -364,4 +374,17 @@ func Table1Streaming(app string, cur *trace.Cursor, alpha float64) Table1 {
 		acc.ObserveBlock(b.Trial, b.Rank, b.Iter, b.Times)
 	}
 	return acc.Finalize()
+}
+
+// ObserveCursor feeds every block of cur to both accumulators, sorting
+// each block once for the two of them. trialOffset is added to each
+// block's trial, for cursors over a shard of a larger trial space.
+func ObserveCursor(cur *trace.Cursor, trialOffset int, m *MetricsAccumulator, t *Table1Accumulator) {
+	var bs blockSorter
+	for cur.Next() {
+		b := cur.Block()
+		sorted := bs.sort(b.Times)
+		m.ObserveSorted(b.Trial+trialOffset, b.Rank, b.Iter, b.Times, sorted)
+		t.ObserveSorted(b.Trial+trialOffset, b.Rank, b.Iter, b.Times, sorted)
+	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
+	"earlybird/internal/sortx"
 	"earlybird/internal/stats"
 )
 
@@ -50,18 +51,22 @@ func (r *StreamResult) String() string {
 
 // streamObserver bundles the per-worker accumulators of a streaming
 // study. Each fill worker owns one, so no locking is needed; the workers'
-// observers merge after the run.
+// observers merge after the run. Each block is copied and sorted once,
+// into sorted, for both accumulators.
 type streamObserver struct {
 	metrics *analysis.MetricsAccumulator
 	table1  *analysis.Table1Accumulator
+	sorted  []float64
 	moments stats.Moments
 	sketch  *stats.QuantileSketch
 }
 
 func (o *streamObserver) ObserveBlock(trial, rank, iter int, xs []float64) {
-	o.metrics.ObserveBlock(trial, rank, iter, xs)
+	o.sorted = append(o.sorted[:0], xs...)
+	sortx.Sort(o.sorted)
+	o.metrics.ObserveSorted(trial, rank, iter, xs, o.sorted)
 	if o.table1 != nil {
-		o.table1.ObserveBlock(trial, rank, iter, xs)
+		o.table1.ObserveSorted(trial, rank, iter, xs, o.sorted)
 	}
 	if o.sketch != nil {
 		o.moments.AddSlice(xs)
@@ -129,6 +134,20 @@ func streamRun(opts Options, withTable1, withSummary bool) (*StreamResult, error
 // metrics, the Table 1 normality row and the application-level summary.
 func StreamStudy(opts Options) (*StreamResult, error) {
 	return streamRun(opts, true, true)
+}
+
+// StreamCell is StreamStudy without the application-level summary: it
+// computes the Section 4.2 metrics and the Table 1 row, bit-identical
+// to StreamStudy's, and skips the moments and quantile sketch that feed
+// every sample through the summary one value at a time. It is the
+// entry point for callers that report only those two rows, such as a
+// /v1/sweep cell.
+func StreamCell(opts Options) (analysis.AppMetrics, analysis.Table1, error) {
+	res, err := streamRun(opts, true, false)
+	if err != nil {
+		return analysis.AppMetrics{}, analysis.Table1{}, err
+	}
+	return res.Metrics, res.Table1, nil
 }
 
 // StreamMetrics runs the configured study in streaming mode and computes

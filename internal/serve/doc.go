@@ -22,11 +22,13 @@
 //
 // The sweep endpoint fans a grid of (app x geometry x alpha x laggard
 // threshold) cells onto the engine and writes one NDJSON row per cell as
-// it completes. Rows are computed on the cursor path
-// (analysis.ComputeMetricsStreaming / Table1Streaming over the engine's
-// cached dataset), and geometries larger than Options.MaxCachedSweepSamples bypass the
-// dataset cache entirely via the streaming fill (core.StreamStudy), so
-// huge geometries never materialise server-side in any form.
+// it completes. Rows are computed on the cursor path (one
+// analysis.ObserveCursor pass over the engine's cached dataset feeds
+// the metrics and Table 1 accumulators), and geometries larger than
+// Options.MaxCachedSweepSamples bypass the dataset cache entirely via
+// the streaming fill (core.StreamCell: metrics and Table 1, without the
+// application summary StreamStudy adds), so huge geometries never
+// materialise server-side in any form.
 //
 // The strategies endpoint sweeps a delivery-strategy grid — fixed and
 // adaptive policies from internal/partcomm — over each (app, geometry)

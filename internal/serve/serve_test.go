@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"earlybird/internal/cluster"
+	"earlybird/internal/core"
+	"earlybird/internal/dlb"
 	"earlybird/internal/engine"
 )
 
@@ -301,6 +303,62 @@ func TestSweepLargeGeometryBypassesCache(t *testing.T) {
 	}
 	if row.Metrics.MeanMedianSec <= 0 || row.Recommendation == "" {
 		t.Error("streamed row has empty analysis")
+	}
+}
+
+// TestStreamedSweepRowMatchesStreamStudy pins the streamed sweep branch,
+// which skips the application-level summary, to core.StreamStudy: every
+// row's metrics, Table 1 row and recommendation equal the full
+// streaming study's for the same cell.
+func TestStreamedSweepRowMatchesStreamStudy(t *testing.T) {
+	geom := cluster.Config{Trials: 2, Ranks: 2, Iterations: 12, Threads: 48, Seed: 5}
+	s := New(Options{Workers: 2, MaxCachedSweepSamples: geom.Samples() - 1})
+	sweep := SweepRequest{
+		Apps:                 []string{"minife", "minimd", "miniqmc"},
+		Geometries:           []cluster.Config{geom},
+		Alphas:               []float64{0.05, 0.01},
+		LaggardThresholdsSec: []float64{1e-3, 3e-4},
+		DLBs:                 []dlb.Spec{{}, {Policy: dlb.PolicyLeWI}},
+	}
+	cells, err := sweep.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(sweep)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sweep", bytes.NewReader(body)))
+
+	rows := map[int]SweepRow{}
+	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+		var row SweepRow
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatalf("bad row %q: %v", line, err)
+		}
+		if row.Err != "" || !row.Streamed {
+			t.Fatalf("cell %d: err %q, streamed %v", row.Index, row.Err, row.Streamed)
+		}
+		rows[row.Index] = row
+	}
+	if len(rows) != len(cells) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(cells))
+	}
+	for _, c := range cells {
+		res, err := core.StreamStudy(core.Options{App: c.App, Geometry: c.Geometry, Policy: core.PolicySpec{
+			DLB: c.DLB, Alpha: c.Alpha, LaggardThresholdSec: c.LaggardThresholdSec,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := rows[c.Index]
+		if row.Metrics != res.Metrics {
+			t.Errorf("cell %d metrics:\n got  %+v\n want %+v", c.Index, row.Metrics, res.Metrics)
+		}
+		if row.Table1 != res.Table1 {
+			t.Errorf("cell %d table1: got %+v, want %+v", c.Index, row.Table1, res.Table1)
+		}
+		if want := core.ClassifyMetrics(res.Metrics); row.Recommendation != want {
+			t.Errorf("cell %d recommendation %q, want %q", c.Index, row.Recommendation, want)
+		}
 	}
 }
 

@@ -177,12 +177,7 @@ func (s *Server) runShard(req ShardRequest) (ShardResponse, error) {
 			return resp, err
 		}
 		resp.DatasetCacheHit = hit
-		cur := ds.Cursor()
-		for cur.Next() {
-			b := cur.Block()
-			macc.ObserveBlock(b.Trial+req.TrialLo, b.Rank, b.Iter, b.Times)
-			tacc.ObserveBlock(b.Trial+req.TrialLo, b.Rank, b.Iter, b.Times)
-		}
+		analysis.ObserveCursor(ds.Cursor(), req.TrialLo, macc, tacc)
 	} else {
 		oneTrial := geom
 		oneTrial.Trials = 1
@@ -195,12 +190,7 @@ func (s *Server) runShard(req ShardRequest) (ShardResponse, error) {
 			if err != nil {
 				return resp, err
 			}
-			cur := ds.Cursor()
-			for cur.Next() {
-				b := cur.Block()
-				macc.ObserveBlock(t, b.Rank, b.Iter, b.Times)
-				tacc.ObserveBlock(t, b.Rank, b.Iter, b.Times)
-			}
+			analysis.ObserveCursor(ds.Cursor(), t, macc, tacc)
 		}
 		resp.Streamed = true
 	}

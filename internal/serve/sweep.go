@@ -146,8 +146,8 @@ func (req SweepRequest) Cells() ([]SweepCell, error) {
 }
 
 // sweepCell analyses one grid cell block by block: cached geometries
-// read the engine's dataset through fresh cursors; larger ones run the bounded-memory streaming
-// fill and bypass the cache entirely.
+// read the engine's dataset through one cursor pass; larger ones run the
+// bounded-memory streaming fill and bypass the cache entirely.
 func (s *Server) sweepCell(c SweepCell) SweepRow {
 	row := SweepRow{
 		Index:               c.Index,
@@ -173,13 +173,15 @@ func (s *Server) sweepCell(c SweepCell) SweepRow {
 			return row
 		}
 		row.DatasetCacheHit = hit
-		row.Metrics = analysis.ComputeMetricsStreaming(c.App, ds.Cursor(), c.LaggardThresholdSec)
-		row.Table1 = analysis.Table1Streaming(c.App, ds.Cursor(), c.Alpha)
+		macc := analysis.NewMetricsAccumulator(c.App, c.LaggardThresholdSec)
+		tacc := analysis.NewTable1Accumulator(c.App, c.Alpha)
+		analysis.ObserveCursor(ds.Cursor(), 0, macc, tacc)
+		row.Metrics, row.Table1 = macc.Finalize(), tacc.Finalize()
 	} else {
 		// The streaming fill bypasses the engine (and its progress
 		// factory), so register the cell's live tracker here.
 		tr := s.newTracker(c.App, c.Geometry, c.DLB)
-		res, err := core.StreamStudy(core.Options{
+		m, t1, err := core.StreamCell(core.Options{
 			App:      c.App,
 			Geometry: c.Geometry,
 			Policy: core.PolicySpec{
@@ -195,8 +197,7 @@ func (s *Server) sweepCell(c SweepCell) SweepRow {
 			return row
 		}
 		row.Streamed = true
-		row.Metrics = res.Metrics
-		row.Table1 = res.Table1
+		row.Metrics, row.Table1 = m, t1
 	}
 	row.Recommendation = core.ClassifyMetrics(row.Metrics)
 	return row

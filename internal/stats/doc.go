@@ -14,6 +14,7 @@
 // plus min/max, Welford/Pébay updates, exact up to floating-point
 // rounding) and QuantileSketch (a t-digest-style percentile estimator
 // with a documented rank-error bound). Both merge, so a parallel fill
-// keeps one accumulator per worker and combines at the end; these back
-// earlybird.StreamStudy and the serve layer's sweep endpoint.
+// keeps one accumulator per worker and combines at the end; together
+// they back earlybird.StreamStudy's application summary, and the sketch
+// alone the iteration IQR estimates of every streamed metrics row.
 package stats

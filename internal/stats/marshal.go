@@ -8,6 +8,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 
 	"earlybird/internal/wire"
 )
@@ -17,6 +18,13 @@ const (
 	momentsCodecVersion uint8 = 1
 	sketchCodecVersion  uint8 = 1
 )
+
+// maxSketchCompression bounds the compression a decoded sketch may
+// carry. A sketch sizes its merge buffers from its compression, so an
+// unbounded value off the wire could demand any amount of memory; the
+// bound sits two orders of magnitude above the largest compression
+// this repository uses (DefaultSketchCompression).
+const maxSketchCompression = 1e4
 
 // MarshalBinary encodes the accumulator's full state. The encoding is
 // deterministic: equal accumulators marshal to equal bytes.
@@ -82,7 +90,10 @@ func (q *QuantileSketch) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary replaces the sketch's state with the decoded one. The
 // receiver may be a zero-value sketch: the compression comes off the
-// wire.
+// wire. It rejects any state a sketch cannot reach: a compression that
+// is not in (0, 1e4], centroid means that are NaN or descending,
+// centroid weights that are not positive or do not sum to n, and an
+// inverted or NaN min/max (an empty sketch carries +Inf/-Inf).
 func (q *QuantileSketch) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	if v := r.U8(); r.Err() == nil && v != sketchCodecVersion {
@@ -106,18 +117,28 @@ func (q *QuantileSketch) UnmarshalBinary(data []byte) error {
 	if err := r.Finish("QuantileSketch"); err != nil {
 		return err
 	}
-	if dec.compression <= 0 {
-		return fmt.Errorf("stats: decoded sketch has non-positive compression %g", dec.compression)
+	if !(dec.compression > 0 && dec.compression <= maxSketchCompression) {
+		return fmt.Errorf("stats: decoded sketch has compression %g outside (0, %g]", dec.compression, float64(maxSketchCompression))
 	}
 	var total int64
-	for _, c := range dec.centroids {
-		if c.count <= 0 {
-			return fmt.Errorf("stats: decoded sketch has non-positive centroid weight %d", c.count)
+	for i, c := range dec.centroids {
+		if c.count <= 0 || c.count > dec.n-total {
+			return fmt.Errorf("stats: decoded sketch has centroid weight %d (n %d, %d before it)", c.count, dec.n, total)
 		}
 		total += c.count
+		if math.IsNaN(c.mean) || (i > 0 && c.mean < dec.centroids[i-1].mean) {
+			return fmt.Errorf("stats: decoded sketch has centroid mean %g out of order at %d", c.mean, i)
+		}
 	}
 	if total != dec.n {
 		return fmt.Errorf("stats: decoded sketch centroid mass %d does not match n %d", total, dec.n)
+	}
+	if dec.n == 0 {
+		if !math.IsInf(dec.minSeen, 1) || !math.IsInf(dec.maxSeen, -1) {
+			return fmt.Errorf("stats: decoded empty sketch has min %g and max %g", dec.minSeen, dec.maxSeen)
+		}
+	} else if !(dec.minSeen <= dec.maxSeen) {
+		return fmt.Errorf("stats: decoded sketch has min %g above max %g", dec.minSeen, dec.maxSeen)
 	}
 	*q = dec
 	return nil

@@ -48,16 +48,36 @@ func AndersonDarlingSorted(x []float64, alpha float64) (Result, error) {
 	mean := stats.Mean(x)
 	sd := stats.StdDev(x)
 
+	// terms[i] collects ln Phi(z_i) + ln(1 - Phi(z_{n-1-i})). Sample j
+	// supplies ln Phi(z_j) to term j and ln(1 - Phi(z_j)) to term n-1-j,
+	// both from one erfcPair evaluation; each term adds the same two
+	// logs as evaluating them in i order (addition commutes exactly).
+	var stack [64]float64
+	terms := stack[:]
+	if n > len(stack) {
+		terms = make([]float64, n)
+	}
+	for j, xj := range x {
+		z := (xj - mean) / sd
+		// erfc(z/√2) = 2(1 - Phi(z)) and erfc(-z/√2) = 2 Phi(z); both
+		// stay in log space to remain finite deep in the tails.
+		sfErfc, cdfErfc := erfcPair(z / math.Sqrt2)
+		lcdf := logHalf(cdfErfc, z)
+		lsf := logHalf(sfErfc, -z) // 1 - Phi(z) = Phi(-z)
+		switch k := n - 1 - j; {
+		case j < k:
+			terms[j], terms[k] = lcdf, lsf
+		case j == k:
+			terms[j] = lcdf + lsf
+		default:
+			terms[j] += lcdf
+			terms[k] += lsf
+		}
+	}
 	nf := float64(n)
 	sum := 0.0
-	for i := 0; i < n; i++ {
-		zi := (x[i] - mean) / sd
-		zrev := (x[n-1-i] - mean) / sd
-		// ln Phi(z_i) + ln(1 - Phi(z_{n+1-i})); compute both in log space
-		// via Erfc to stay finite deep in the tails.
-		lcdf := logNormalCDF(zi)
-		lsf := logNormalCDF(-zrev) // 1 - Phi(z) = Phi(-z)
-		sum += (2*float64(i+1) - 1) * (lcdf + lsf)
+	for i, t := range terms[:n] {
+		sum += (2*float64(i+1) - 1) * t
 	}
 	a2 := -nf - sum/nf
 	a2star := a2 * (1 + 0.75/nf + 2.25/(nf*nf))
@@ -100,12 +120,12 @@ func adPValue(a2 float64) float64 {
 	}
 }
 
-// logNormalCDF returns ln Phi(x) computed stably for large negative x.
-func logNormalCDF(x float64) float64 {
-	// Phi(x) = erfc(-x/sqrt2)/2. Erfc underflows around x < -38; switch
-	// to the asymptotic expansion of the tail there.
+// logHalf returns ln Phi(x) given e = erfc(-x/√2), so that
+// Phi(x) = e/2. Erfc underflows around x < -38; below -37 the
+// asymptotic expansion of the tail takes over.
+func logHalf(e, x float64) float64 {
 	if x > -37 {
-		return math.Log(0.5 * math.Erfc(-x/math.Sqrt2))
+		return math.Log(0.5 * e)
 	}
 	// ln Phi(x) ~ -x²/2 - ln(-x) - ln(2π)/2 for x -> -inf.
 	return -x*x/2 - math.Log(-x) - 0.5*math.Log(2*math.Pi)

@@ -107,30 +107,20 @@ func Run(t Test, xs []float64, alpha float64) (Result, error) {
 // results indexed by Test. A test that cannot run on the sample (for
 // example, too few observations) contributes a zero Result with
 // RejectNormal = true, matching the paper's treatment of degenerate sets.
-//
-// The sample is sorted once and the sorted copy shared by Shapiro-Wilk
-// and Anderson-Darling (historically each test sorted its own copy);
-// D'Agostino is moment-based and consumes the sample in its original
-// order, so every statistic is bit-identical to the per-test entry
-// points.
 func Battery(xs []float64, alpha float64) [3]Result {
-	return BatteryScratch(xs, nil, alpha)
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sortx.Sort(sorted)
+	return BatterySorted(xs, sorted, alpha)
 }
 
-// BatteryScratch is Battery with a caller-provided scratch buffer for
-// the sorted copy, for hot paths that run the battery once per block
-// (internal/analysis' Table1Accumulator): when cap(scratch) >= len(xs)
-// no allocation happens. scratch may be nil; its contents are
-// overwritten.
-func BatteryScratch(xs, scratch []float64, alpha float64) [3]Result {
-	n := len(xs)
-	if cap(scratch) < n {
-		scratch = make([]float64, n)
-	}
-	scratch = scratch[:n]
-	copy(scratch, xs)
-	sortx.Sort(scratch)
-
+// BatterySorted is Battery for a caller that already holds an ascending
+// copy of xs, as the per-block accumulators in internal/analysis do:
+// Shapiro-Wilk and Anderson-Darling read sorted, while D'Agostino is
+// moment-based and consumes xs in its original order, so every
+// statistic is bit-identical to the per-test entry points. Neither
+// slice is modified.
+func BatterySorted(xs, sorted []float64, alpha float64) [3]Result {
 	var out [3]Result
 	for _, t := range Tests {
 		var (
@@ -138,15 +128,15 @@ func BatteryScratch(xs, scratch []float64, alpha float64) [3]Result {
 			err error
 		)
 		switch t {
+		case DAgostino:
+			r, err = DAgostinoK2(xs, alpha)
 		case ShapiroWilk:
-			r, err = ShapiroWilkSorted(scratch, alpha)
+			r, err = ShapiroWilkSorted(sorted, alpha)
 		case AndersonDarling:
-			r, err = AndersonDarlingSorted(scratch, alpha)
-		default:
-			r, err = Run(t, xs, alpha)
+			r, err = AndersonDarlingSorted(sorted, alpha)
 		}
 		if err != nil {
-			r = Result{Test: t, RejectNormal: true, N: n}
+			r = Result{Test: t, RejectNormal: true, N: len(xs)}
 		}
 		out[t] = r
 	}
