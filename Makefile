@@ -9,7 +9,7 @@ GO ?= go
 # climbs, never lower it).
 COVER_FLOOR ?= 80.0
 
-.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts bench bench-json bench-gate bench-baseline bench-vet bench-test generate-check profile lint fmt docs-check cover fuzz-smoke clean-store
+.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts unused-check bench bench-json bench-gate bench-baseline bench-vet bench-test generate-check profile lint fmt docs-check cover fuzz-smoke clean-store
 
 all: build lint docs-check test
 
@@ -57,12 +57,22 @@ STORE_DIR ?= .earlybird-store
 clean-store:
 	rm -rf $(STORE_DIR)
 
-# Shell-level tests for the repo's scripts — today the bench gate's
-# comparison verdicts (scripts/bench_gate_test.sh), in particular that a
-# benchmark missing from the baseline fails loudly instead of sliding
-# through ungated.
+# Tests for the repo's scripts: the bench gate's comparison verdicts
+# (scripts/bench_gate_test.sh), in particular that a benchmark missing
+# from the baseline fails loudly instead of sliding through ungated; and
+# the unused-export checker's self-test on its testdata module (an
+# unreached export fails, an allowlisted one and an interface-satisfying
+# method pass).
 test-scripts:
 	sh scripts/bench_gate_test.sh
+	$(GO) test -count=1 ./scripts/unusedcheck
+
+# Fail on an exported function or method under internal/ that nothing
+# outside tests calls, unless scripts/unusedcheck/allowlist.txt names it
+# with one of the checker's closed set of reasons. The checker is
+# stdlib-only: go/build, go/parser and go/types over the module's source.
+unused-check:
+	$(GO) run ./scripts/unusedcheck -allow scripts/unusedcheck/allowlist.txt .
 
 # One iteration per benchmark: a smoke test that the benchmarks still
 # compile and run, not a measurement.

@@ -14,6 +14,7 @@ import (
 
 	"earlybird"
 	"earlybird/internal/core"
+	"earlybird/internal/engine"
 	"earlybird/internal/experiments"
 	"earlybird/internal/network"
 	"earlybird/internal/partcomm"
@@ -34,7 +35,7 @@ var (
 func benchSuite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
-		suite = experiments.NewSuite(experiments.Quick())
+		suite = experiments.NewSuiteOn(experiments.Quick(), engine.New(0))
 		for _, app := range experiments.AppNames {
 			suite.Dataset(app)
 		}

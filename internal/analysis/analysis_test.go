@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"earlybird/internal/stats"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/trace"
 )
@@ -36,13 +37,13 @@ func synthetic() *trace.Dataset {
 func TestReclaimableTime(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	// max=4: (4-1)+(4-2)+(4-3)+(4-4) = 6.
-	if got := ReclaimableTime(xs); got != 6 {
+	if got, _ := idleTime(xs, stats.Max(xs)); got != 6 {
 		t.Fatalf("reclaimable = %v, want 6", got)
 	}
 }
 
 func TestReclaimableTimeAllEqual(t *testing.T) {
-	if got := ReclaimableTime([]float64{5, 5, 5}); got != 0 {
+	if got, _ := idleTime([]float64{5, 5, 5}, 5); got != 0 {
 		t.Fatalf("reclaimable = %v, want 0", got)
 	}
 }
@@ -50,10 +51,10 @@ func TestReclaimableTimeAllEqual(t *testing.T) {
 func TestIdleRatio(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	want := 6.0 / (4 * 4)
-	if got := IdleRatio(xs); math.Abs(got-want) > 1e-12 {
+	if _, got := idleTime(xs, stats.Max(xs)); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("idle ratio = %v, want %v", got, want)
 	}
-	if got := IdleRatio([]float64{0, 0}); got != 0 {
+	if _, got := idleTime([]float64{0, 0}, 0); got != 0 {
 		t.Fatalf("idle ratio of zeros = %v", got)
 	}
 }
@@ -64,7 +65,7 @@ func TestIdleRatioBoundsProperty(t *testing.T) {
 		{1}, {1, 1}, {0.001, 100}, {3, 2, 1}, {5, 5, 5, 0.1},
 	}
 	for _, xs := range cases {
-		r := IdleRatio(xs)
+		_, r := idleTime(xs, stats.Max(xs))
 		if r < 0 || r >= 1 {
 			t.Errorf("idle ratio of %v = %v outside [0,1)", xs, r)
 		}
@@ -72,17 +73,18 @@ func TestIdleRatioBoundsProperty(t *testing.T) {
 }
 
 func TestHasLaggard(t *testing.T) {
+	var bs blockSorter
 	base := []float64{0.0247, 0.0247, 0.0248, 0.0247}
-	if HasLaggard(base, 1e-3) {
+	if bs.hasLaggard(base, 1e-3) {
 		t.Error("tight set flagged as laggard")
 	}
 	withLag := append(append([]float64{}, base...), 0.0290)
-	if !HasLaggard(withLag, 1e-3) {
+	if !bs.hasLaggard(withLag, 1e-3) {
 		t.Error("4.3ms laggard not detected")
 	}
 	// Exactly at threshold: not a laggard (strictly greater).
 	exact := []float64{1, 1, 1, 1 + 1e-3}
-	if HasLaggard(exact, 1e-3) {
+	if bs.hasLaggard(exact, 1e-3) {
 		t.Error("threshold should be exclusive")
 	}
 }
@@ -191,12 +193,11 @@ func TestIterationPercentilesAndColumns(t *testing.T) {
 	if len(ps.Values) != d.Iterations {
 		t.Fatalf("rows = %d", len(ps.Values))
 	}
-	med := ps.Column(50)
-	if med == nil || len(med) != d.Iterations {
+	if ps.pIndex(50) < 0 {
 		t.Fatal("median column missing")
 	}
-	if ps.Column(42) != nil {
-		t.Fatal("unknown percentile should be nil")
+	if ps.pIndex(42) >= 0 {
+		t.Fatal("unknown percentile should have no column")
 	}
 	// Percentiles are monotone within a row.
 	for i, row := range ps.Values {

@@ -63,7 +63,7 @@ func FuzzMetricsAccumulatorUnmarshal(f *testing.F) {
 			return
 		}
 		blocks := dec.Blocks()
-		acc := NewMetricsAccumulator(dec.App(), dec.LaggardThreshold())
+		acc := NewMetricsAccumulator(dec.app, dec.threshold)
 		acc.Merge(dec)
 		acc.Merge(back)
 		if acc.Blocks() != 2*blocks {
@@ -81,7 +81,7 @@ func FuzzTable1AccumulatorUnmarshal(f *testing.F) {
 		if !ok {
 			return
 		}
-		acc := NewTable1Accumulator(dec.App(), dec.Alpha())
+		acc := NewTable1Accumulator(dec.app, dec.alpha)
 		acc.Merge(dec)
 		acc.Merge(back)
 		acc.Finalize()

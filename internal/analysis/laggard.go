@@ -14,13 +14,6 @@ import (
 // arrival time, Section 4.2.1).
 const DefaultLaggardThresholdSec = 1e-3
 
-// HasLaggard reports whether the latest arrival exceeds the median by
-// more than threshold seconds.
-func HasLaggard(xs []float64, threshold float64) bool {
-	var bs blockSorter
-	return bs.hasLaggard(xs, threshold)
-}
-
 // blockSorter is the per-block kernel of every exact max/median
 // consumer: it copies a process iteration into one reused scratch and
 // sorts it there, so a pass over a dataset allocates once instead of
@@ -44,7 +37,8 @@ func (b *blockSorter) maxMedian(xs []float64) (max, med float64) {
 	return s[len(s)-1], stats.PercentileSorted(s, 50)
 }
 
-// hasLaggard is HasLaggard on the reused scratch.
+// hasLaggard reports whether the latest arrival of xs exceeds its median
+// by more than threshold seconds.
 func (b *blockSorter) hasLaggard(xs []float64, threshold float64) bool {
 	max, med := b.maxMedian(xs)
 	return max-med > threshold

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"earlybird/internal/stats"
 	"earlybird/internal/trace"
 )
 
@@ -20,10 +21,11 @@ func TestLoadBalanceValues(t *testing.T) {
 	}
 }
 
-// LB and IdleRatio are complementary: LB = 1 - IdleRatio.
+// LB and the idle ratio are complementary: LB = 1 - idle ratio.
 func TestLoadBalanceIdleRatioIdentity(t *testing.T) {
 	xs := []float64{1.2, 3.4, 2.2, 5.1, 4.4}
-	if diff := LoadBalance(xs) + IdleRatio(xs) - 1; math.Abs(diff) > 1e-12 {
+	_, idle := idleTime(xs, stats.Max(xs))
+	if diff := LoadBalance(xs) + idle - 1; math.Abs(diff) > 1e-12 {
 		t.Errorf("LB + IdleRatio - 1 = %v", diff)
 	}
 }

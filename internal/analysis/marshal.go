@@ -143,15 +143,6 @@ func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// App returns the application name the accumulator was created for.
-func (a *Table1Accumulator) App() string { return a.app }
-
-// Alpha returns the significance level the battery runs at.
-func (a *Table1Accumulator) Alpha() float64 { return a.alpha }
-
-// Blocks returns how many process-iteration blocks have been observed.
-func (a *Table1Accumulator) Blocks() int64 { return int64(a.total) }
-
 // MarshalBinary encodes the accumulator's full state. Deterministic:
 // equal accumulators marshal to equal bytes.
 func (a *Table1Accumulator) MarshalBinary() ([]byte, error) {

@@ -7,26 +7,13 @@ import (
 	"earlybird/internal/trace"
 )
 
-// ReclaimableTime returns the paper's reclaimable-time quantity for one
-// process iteration: the sum over threads of (latest arrival - this
-// thread's arrival) — the total thread-time that early-bird communication
-// could in principle put to use (Section 4.2).
-func ReclaimableTime(xs []float64) float64 {
-	recl, _ := idleTime(xs, stats.Max(xs))
-	return recl
-}
-
-// IdleRatio returns the cumulative idle time of a sample set divided by
-// (latest arrival x thread count) — the paper's "ratio of time spent
-// idle".
-func IdleRatio(xs []float64) float64 {
-	_, ratio := idleTime(xs, stats.Max(xs))
-	return ratio
-}
-
-// idleTime returns ReclaimableTime and IdleRatio of xs given its latest
-// arrival max. The reclaimable sum is Σ(max − x) in sample order; the
-// algebraically equal n·max − Σx rounds differently.
+// idleTime returns the paper's two idle quantities for one process
+// iteration xs whose latest arrival is max (Section 4.2): the reclaimable
+// time, the sum over threads of (latest arrival − this thread's arrival),
+// which is the thread-time early-bird communication could in principle
+// put to use; and the idle ratio, that sum over (max × thread count). The
+// reclaimable sum is Σ(max − x) in sample order; the algebraically equal
+// n·max − Σx rounds differently.
 func idleTime(xs []float64, max float64) (recl, ratio float64) {
 	for _, x := range xs {
 		recl += max - x
@@ -50,10 +37,10 @@ type AppMetrics struct {
 	// thread is more than 1 ms past the median (paper: 22.4% MiniFE,
 	// 4.8% MiniMD phase two).
 	LaggardFraction float64 `json:"laggard_fraction"`
-	// AvgReclaimableProcSec is the mean over process iterations of
-	// ReclaimableTime (paper: 42.82 / 17.61 / 708.03 ms).
+	// AvgReclaimableProcSec is the mean over process iterations of the
+	// reclaimable time (see idleTime; paper: 42.82 / 17.61 / 708.03 ms).
 	AvgReclaimableProcSec float64 `json:"avg_reclaimable_proc_sec"`
-	// IdleRatioProc is the mean over process iterations of IdleRatio.
+	// IdleRatioProc is the mean over process iterations of the idle ratio.
 	IdleRatioProc float64 `json:"idle_ratio_proc"`
 	// AvgReclaimableAppIterSec and IdleRatioAppIter are the same metrics
 	// computed over application-iteration aggregations (3840 samples).

@@ -276,8 +276,8 @@ func TestMetricsAccumulatorBinaryRoundTrip(t *testing.T) {
 	if err := dec.UnmarshalBinary(enc); err != nil {
 		t.Fatal(err)
 	}
-	if dec.App() != model.Name() || dec.LaggardThreshold() != DefaultLaggardThresholdSec {
-		t.Fatalf("identity lost: app %q threshold %v", dec.App(), dec.LaggardThreshold())
+	if dec.app != model.Name() || dec.threshold != DefaultLaggardThresholdSec {
+		t.Fatalf("identity lost: app %q threshold %v", dec.app, dec.threshold)
 	}
 	if dec.Blocks() != acc.Blocks() {
 		t.Fatalf("blocks %d vs %d", dec.Blocks(), acc.Blocks())
@@ -294,8 +294,8 @@ func TestMetricsAccumulatorBinaryRoundTrip(t *testing.T) {
 	if err := decT.UnmarshalBinary(encT); err != nil {
 		t.Fatal(err)
 	}
-	if decT.App() != t1.App() || decT.Alpha() != t1.Alpha() || decT.Blocks() != t1.Blocks() {
-		t.Fatalf("table1 identity lost: %q %v %d", decT.App(), decT.Alpha(), decT.Blocks())
+	if decT.app != t1.app || decT.alpha != t1.alpha || decT.total != t1.total {
+		t.Fatalf("table1 identity lost: %q %v %d", decT.app, decT.alpha, decT.total)
 	}
 	if got, want := decT.Finalize(), t1.Finalize(); got != want {
 		t.Fatalf("table1 finalize after round trip: %+v vs %+v", got, want)

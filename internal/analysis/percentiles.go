@@ -52,20 +52,6 @@ func (ps *PercentileSeries) pIndex(p float64) int {
 	return -1
 }
 
-// Column returns the series of one percentile across iterations, or nil
-// if that percentile was not computed.
-func (ps *PercentileSeries) Column(p float64) []float64 {
-	i := ps.pIndex(p)
-	if i < 0 {
-		return nil
-	}
-	out := make([]float64, len(ps.Values))
-	for k, row := range ps.Values {
-		out[k] = row[i]
-	}
-	return out
-}
-
 // IQRStats returns the mean and max of (p75 - p25) across iterations in
 // [fromIter, toIter) — the quantities the paper reads off its percentile
 // plots. Both 25 and 75 must be in Percentiles.

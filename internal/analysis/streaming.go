@@ -83,13 +83,6 @@ func NewMetricsAccumulator(app string, laggardThreshold float64) *MetricsAccumul
 	}
 }
 
-// App returns the application name the accumulator was created for.
-func (a *MetricsAccumulator) App() string { return a.app }
-
-// LaggardThreshold returns the laggard rule (seconds) the accumulator
-// classifies with.
-func (a *MetricsAccumulator) LaggardThreshold() float64 { return a.threshold }
-
 // Blocks returns how many process-iteration blocks have been observed.
 func (a *MetricsAccumulator) Blocks() int64 {
 	var n int64

@@ -13,6 +13,8 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -58,10 +60,20 @@ func HugeConfig() Config {
 	return Config{Trials: 10, Ranks: 32, Iterations: 5000, Threads: 48, Seed: 1}
 }
 
-// Validate checks the geometry.
+// Validate checks the geometry: every dimension positive, and a sample
+// count that fits an int, so Samples never wraps to a small value that
+// would slip under a caller's size limit.
 func (c Config) Validate() error {
 	if c.Trials < 1 || c.Ranks < 1 || c.Iterations < 1 || c.Threads < 1 {
 		return fmt.Errorf("cluster: non-positive geometry %+v", c)
+	}
+	n := uint64(1)
+	for _, d := range [...]int{c.Trials, c.Ranks, c.Iterations, c.Threads} {
+		hi, lo := bits.Mul64(n, uint64(d))
+		if hi != 0 || lo > math.MaxInt {
+			return fmt.Errorf("cluster: geometry %+v has more than %d samples", c, math.MaxInt)
+		}
+		n = lo
 	}
 	return nil
 }

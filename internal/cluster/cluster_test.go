@@ -181,3 +181,30 @@ func TestRunStreamRejectsMismatchedSink(t *testing.T) {
 		t.Fatal("expected geometry mismatch error")
 	}
 }
+
+// TestValidateRejectsOverflowingGeometry: a geometry whose sample count
+// does not fit an int must fail Validate. Samples would otherwise wrap to
+// 0 or a negative count, which passes any size limit.
+func TestValidateRejectsOverflowingGeometry(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"paper", DefaultConfig(), true},
+		{"huge", HugeConfig(), true},
+		{"largest int", Config{Trials: 1, Ranks: 1, Iterations: 1, Threads: math.MaxInt}, true},
+		{"2^62 samples", Config{Trials: 1 << 31, Ranks: 1 << 31, Iterations: 1, Threads: 1}, true},
+		{"2^63 samples", Config{Trials: 1 << 31, Ranks: 1 << 31, Iterations: 2, Threads: 1}, false},
+		{"2^32 x 2^32", Config{Trials: 1, Ranks: 1, Iterations: 1 << 32, Threads: 1 << 32}, false},
+		{"65536^4", Config{Trials: 65536, Ranks: 65536, Iterations: 65536, Threads: 65536}, false},
+		{"3 x 2^62 x 1 x 48", Config{Trials: 3, Ranks: 1 << 62, Iterations: 1, Threads: 48}, false},
+		{"zero trials", Config{Trials: 0, Ranks: 1, Iterations: 1, Threads: 1}, false},
+	}
+	for _, c := range cases {
+		err := c.cfg.Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Validate(%+v) = %v, want ok=%v (Samples() = %d)", c.name, c.cfg, err, c.ok, c.cfg.Samples())
+		}
+	}
+}

@@ -99,7 +99,7 @@ func TestFillContract(t *testing.T) {
 						for i := 0; i < cfg.Iterations; i++ {
 							for _, r := range recs {
 								if b, ok := r.blocks[[3]int{trial, rank, i}]; ok {
-									sw.Append(b)
+									sw.AppendWith(func(out []float64) { copy(out, b) })
 								}
 							}
 						}

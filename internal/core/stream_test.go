@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
 )
 
@@ -86,15 +87,15 @@ func TestStreamStudyMatchesMaterialized(t *testing.T) {
 }
 
 // TestStudyMetricsStreamingMatchesMetrics: the cursor-based streaming
-// path over an existing dataset must agree with the exact path the same
-// way the online path does.
+// analysis over a study's dataset must agree with the study's exact path
+// the same way the online path does.
 func TestStudyMetricsStreamingMatchesMetrics(t *testing.T) {
 	study, err := NewStudy(Options{App: "minife", Geometry: cluster.SmallConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	exact := study.Metrics()
-	streamed := study.MetricsStreaming()
+	streamed := analysis.ComputeMetricsStreaming(study.App(), study.Dataset().Cursor(), study.opts.Policy.LaggardThresholdSec)
 	if !approxEqual(streamed.MeanMedianSec, exact.MeanMedianSec, 1e-9) ||
 		!approxEqual(streamed.LaggardFraction, exact.LaggardFraction, 1e-9) ||
 		!approxEqual(streamed.AvgReclaimableProcSec, exact.AvgReclaimableProcSec, 1e-9) {
@@ -103,7 +104,7 @@ func TestStudyMetricsStreamingMatchesMetrics(t *testing.T) {
 	if !approxEqual(streamed.IQRMeanSec, exact.IQRMeanSec, 0.10) {
 		t.Fatalf("IQRMeanSec: streaming %v vs exact %v", streamed.IQRMeanSec, exact.IQRMeanSec)
 	}
-	if got, want := study.Table1Streaming(), study.Table1(); got != want {
+	if got, want := analysis.Table1Streaming(study.App(), study.Dataset().Cursor(), study.opts.Policy.Alpha), study.Table1(); got != want {
 		t.Fatalf("Table1Streaming %+v vs Table1 %+v", got, want)
 	}
 }

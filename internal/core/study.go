@@ -169,22 +169,6 @@ func (s *Study) Metrics() analysis.AppMetrics {
 	return s.metrics
 }
 
-// MetricsStreaming computes the same scalars as Metrics in a single
-// bounded-memory pass over the dataset's cursor: no per-level sample
-// slices are materialised, at the cost of the iteration IQR statistics
-// being sketch estimates (see analysis.ComputeMetricsStreaming). The
-// exact path stays available as Metrics.
-func (s *Study) MetricsStreaming() analysis.AppMetrics {
-	return analysis.ComputeMetricsStreaming(s.ds.App, s.ds.Cursor(), s.opts.Policy.LaggardThresholdSec)
-}
-
-// Table1Streaming computes the Table 1 row via the dataset's cursor; the
-// result is identical to Table1 (the normality battery always runs per
-// complete process iteration) without materialising sample slices.
-func (s *Study) Table1Streaming() analysis.Table1 {
-	return analysis.Table1Streaming(s.ds.App, s.ds.Cursor(), s.opts.Policy.Alpha)
-}
-
 // Table1 computes the study's process-iteration normality row.
 func (s *Study) Table1() analysis.Table1 {
 	return analysis.Table1Row(s.ds, s.opts.Policy.Alpha)

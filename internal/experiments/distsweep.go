@@ -83,7 +83,7 @@ func (s *Suite) DistSweep(cfg DistSweepConfig) map[string][]DistPoint {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: distsweep %s: %v", label, err))
 		}
-		res := partcomm.Evaluate(d, s.cfg.BytesPerPartition, s.cfg.Fabric, strategies)
+		res := partcomm.EvaluateStream(d.Cursor(), s.cfg.BytesPerPartition, s.cfg.Fabric, strategies)
 		potential, window := 0.0, 0.0
 		n := 0
 		for cur := d.Cursor(); cur.Next(); {

@@ -19,7 +19,7 @@ import (
 // after an intentional change to the policies, the grid or the
 // rendering.
 func TestDLBCrossGoldenQuick(t *testing.T) {
-	suite := NewSuite(Quick())
+	suite := quickSuite()
 	var buf bytes.Buffer
 	suite.WriteDLBReport(&buf)
 
@@ -46,7 +46,7 @@ func TestDLBCrossGoldenQuick(t *testing.T) {
 // the E14 frontier exactly (same dataset, same grid), and each policy
 // axis point carries its own dataset (distinct cache entries).
 func TestE15CrossSanity(t *testing.T) {
-	suite := NewSuite(Quick())
+	suite := quickSuite()
 	cells := suite.E15DLBCross()
 	policies := E15Policies()
 	if len(cells) != len(AppNames)*len(policies) {

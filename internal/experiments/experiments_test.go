@@ -9,7 +9,7 @@ import (
 	"earlybird/internal/stats/normality"
 )
 
-func quickSuite() *Suite { return NewSuite(Quick()) }
+func quickSuite() *Suite { return NewSuiteOn(Quick(), engine.New(0)) }
 
 func TestDatasetCachingAndDeterminism(t *testing.T) {
 	s := quickSuite()
@@ -235,13 +235,5 @@ func TestWriteReportMentionsEverything(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}
-	}
-}
-
-func TestSortedApps(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedApps(m)
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("sorted = %v", got)
 	}
 }

@@ -19,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from the cur
 //
 // after an intentional change to the grid or the rendering.
 func TestStrategyFrontierGoldenQuick(t *testing.T) {
-	suite := NewSuite(Quick())
+	suite := quickSuite()
 	var buf bytes.Buffer
 	suite.WriteStrategyFrontier(&buf)
 
@@ -45,7 +45,7 @@ func TestStrategyFrontierGoldenQuick(t *testing.T) {
 // geometry: every app yields the full grid, a non-trivial potential, and
 // a frontier that beats (or ties) the bulk baseline.
 func TestE14FrontierSanity(t *testing.T) {
-	suite := NewSuite(Quick())
+	suite := quickSuite()
 	e14 := suite.E14StrategyFrontier()
 	for _, app := range AppNames {
 		sw, ok := e14[app]

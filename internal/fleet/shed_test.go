@@ -40,17 +40,18 @@ func shedTracker(id string) *telemetry.Tracker {
 // sheddingWorker starts a real worker whose adaptive admission is
 // currently refusing all materialising work (efficiency 0.1 under a 0.5
 // watermark). Finishing the returned tracker reopens admission.
-func sheddingWorker(t *testing.T) (*serve.Server, *httptest.Server, *telemetry.Tracker) {
+func sheddingWorker(t *testing.T) (*telemetry.Registry, *httptest.Server, *telemetry.Tracker) {
 	t.Helper()
-	s := serve.New(serve.Options{Workers: 4, AdmissionWatermark: 0.5})
+	reg := telemetry.NewRegistry()
+	s := serve.New(serve.Options{Workers: 4, AdmissionWatermark: 0.5, Telemetry: reg})
 	tr := shedTracker("shed-regression")
-	s.Telemetry().Register(tr)
-	if eff, live := s.Telemetry().Efficiency(); !live || eff >= 0.5 {
+	reg.Register(tr)
+	if eff, live := reg.Efficiency(); !live || eff >= 0.5 {
 		t.Fatalf("synthetic efficiency = %v (live %v), want < 0.5", eff, live)
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return s, ts, tr
+	return reg, ts, tr
 }
 
 // TestShedWorkerNeverDemotedAndReRanked is the headline regression: the
@@ -59,7 +60,7 @@ func sheddingWorker(t *testing.T) (*serve.Server, *httptest.Server, *telemetry.T
 // demoted, no failover recorded), and once its admission reopens and
 // the Retry-After window lapses it must take the very next dispatch.
 func TestShedWorkerNeverDemotedAndReRanked(t *testing.T) {
-	ws, wts, tr := sheddingWorker(t)
+	wreg, wts, tr := sheddingWorker(t)
 	f := newFleet(t, Options{Peers: []string{wts.URL}, ShardsPerCell: 1})
 
 	cell := serve.SweepCell{App: "minife", Geometry: fleetGeom(), Alpha: 0.05, LaggardThresholdSec: 0.001}
@@ -90,7 +91,7 @@ func TestShedWorkerNeverDemotedAndReRanked(t *testing.T) {
 
 	// Reopen admission and wait out the Retry-After: the worker must
 	// re-enter the ranking where the hash put it and serve the cell.
-	ws.Telemetry().Finish(tr)
+	wreg.Finish(tr)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		row, ok := f.DispatchCell(context.Background(), cell)

@@ -9,7 +9,7 @@ import (
 
 func BenchmarkMiniFEMatVec(b *testing.B) {
 	a := NewMiniFE(24, 24, 24)
-	b.SetBytes(int64(a.Rows() * 27 * 8))
+	b.SetBytes(int64(len(a.x) * 27 * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.MatVec()

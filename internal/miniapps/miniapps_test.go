@@ -17,7 +17,7 @@ func TestMiniFEMatVecCorrectness(t *testing.T) {
 		a.x[i] = 1
 	}
 	y := a.MatVec()
-	n := a.Rows()
+	n := len(a.x)
 	if n != 24 {
 		t.Fatalf("rows = %d", n)
 	}
@@ -44,7 +44,7 @@ func TestMiniFEMatVecCorrectness(t *testing.T) {
 
 func TestMiniFEDiagonalDominance(t *testing.T) {
 	a := NewMiniFE(3, 3, 3)
-	for row := 0; row < a.Rows(); row++ {
+	for row := 0; row < len(a.x); row++ {
 		var diag, off float64
 		for p := a.rowPtr[row]; p < a.rowPtr[row+1]; p++ {
 			if int(a.colIdx[p]) == row {
@@ -96,9 +96,16 @@ func TestMiniFERecordsPlausibleTimes(t *testing.T) {
 func TestMiniMDNewtonsThirdLaw(t *testing.T) {
 	a := NewMiniMD(4, 3, 11)
 	a.ComputeForcesSerial()
-	total := a.TotalForce()
+	var total [3]float64
+	maxNorm := 0.0
+	for _, f := range a.force {
+		for d := range total {
+			total[d] += f[d]
+		}
+		maxNorm = math.Max(maxNorm, math.Sqrt(f[0]*f[0]+f[1]*f[1]+f[2]*f[2]))
+	}
 	// The summed pair forces cancel (up to FP error scaled by magnitude).
-	scale := a.MaxForceNorm() * float64(a.Atoms())
+	scale := maxNorm * float64(len(a.pos))
 	if scale == 0 {
 		t.Fatal("no forces computed")
 	}
@@ -112,13 +119,13 @@ func TestMiniMDNewtonsThirdLaw(t *testing.T) {
 func TestMiniMDParallelMatchesSerial(t *testing.T) {
 	ref := NewMiniMD(4, 2, 5)
 	ref.ComputeForcesSerial()
-	want := ref.Forces()
+	want := ref.force
 
 	par := NewMiniMD(4, 2, 5)
 	pool := omp.NewPool(5)
 	defer pool.Close()
 	Run(par, pool, simclock.NewReal(), 1)
-	got := par.Forces()
+	got := par.force
 	for i := range want {
 		for d := 0; d < 3; d++ {
 			if math.Abs(got[i][d]-want[i][d]) > 1e-12 {
@@ -155,8 +162,8 @@ func TestMiniMDCellBinningCoversAllAtoms(t *testing.T) {
 			seen[i] = true
 		}
 	}
-	if len(seen) != a.Atoms() {
-		t.Fatalf("binned %d atoms, want %d", len(seen), a.Atoms())
+	if len(seen) != len(a.pos) {
+		t.Fatalf("binned %d atoms, want %d", len(seen), len(a.pos))
 	}
 }
 
@@ -165,7 +172,7 @@ func TestMiniQMCAcceptanceReasonable(t *testing.T) {
 	pool := omp.NewPool(4)
 	defer pool.Close()
 	Run(a, pool, simclock.NewReal(), 3)
-	acc := a.Accepted()
+	acc := a.accepted
 	if len(acc) != 4 {
 		t.Fatalf("acceptance counters = %d movers", len(acc))
 	}

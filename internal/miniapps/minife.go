@@ -68,9 +68,6 @@ func NewMiniFE(nx, ny, nz int) *MiniFEApp {
 // Name implements App.
 func (a *MiniFEApp) Name() string { return "minife" }
 
-// Rows returns the matrix dimension.
-func (a *MiniFEApp) Rows() int { return len(a.x) }
-
 // RunIteration implements App: one instrumented mat-vec. Rows are shared
 // dynamically in plane-sized chunks, mirroring MiniFE's outer loop over
 // problem-space planes (the source of the paper's early arrivals).

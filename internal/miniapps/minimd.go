@@ -1,8 +1,6 @@
 package miniapps
 
 import (
-	"math"
-
 	"earlybird/internal/omp"
 	"earlybird/internal/rng"
 	"earlybird/internal/simclock"
@@ -97,9 +95,6 @@ func (a *MiniMDApp) cellIndex(p [3]float64) int32 {
 // Name implements App.
 func (a *MiniMDApp) Name() string { return "minimd" }
 
-// Atoms returns the atom count.
-func (a *MiniMDApp) Atoms() int { return len(a.pos) }
-
 // ljForce accumulates the Lennard-Jones force on atom i from atom j
 // (one-sided; the loop visits both orderings as LAMMPS' half-neighbour
 // optimisation is not the point here).
@@ -163,31 +158,6 @@ func (a *MiniMDApp) RunIteration(pool *omp.Pool, clock simclock.Clock, rec *trac
 	})
 }
 
-// TotalForce returns the component-wise sum of all forces; by Newton's
-// third law it should vanish for a symmetric pair interaction.
-func (a *MiniMDApp) TotalForce() [3]float64 {
-	var sum [3]float64
-	for _, f := range a.force {
-		sum[0] += f[0]
-		sum[1] += f[1]
-		sum[2] += f[2]
-	}
-	return sum
-}
-
-// MaxForceNorm returns the largest per-atom force magnitude (sanity bound
-// in tests).
-func (a *MiniMDApp) MaxForceNorm() float64 {
-	max := 0.0
-	for _, f := range a.force {
-		n := math.Sqrt(f[0]*f[0] + f[1]*f[1] + f[2]*f[2])
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
-
 // ComputeForcesSerial runs the force sweep serially (reference for
 // parallel-equivalence tests).
 func (a *MiniMDApp) ComputeForcesSerial() {
@@ -195,11 +165,4 @@ func (a *MiniMDApp) ComputeForcesSerial() {
 	for c := 0; c < nc; c++ {
 		a.computeForcesCell(c)
 	}
-}
-
-// Forces returns a copy of the force array.
-func (a *MiniMDApp) Forces() [][3]float64 {
-	out := make([][3]float64, len(a.force))
-	copy(out, a.force)
-	return out
 }

@@ -28,31 +28,3 @@ func BenchmarkPingPong(b *testing.B) {
 	c.Send(1, 1, nil)
 	<-done
 }
-
-func BenchmarkBarrier8(b *testing.B) {
-	w := NewWorld(8)
-	iters := b.N
-	b.ResetTimer()
-	if err := w.Run(func(c *Comm) error {
-		for i := 0; i < iters; i++ {
-			c.Barrier()
-		}
-		return nil
-	}); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkAllreduceSum8(b *testing.B) {
-	w := NewWorld(8)
-	iters := b.N
-	b.ResetTimer()
-	if err := w.Run(func(c *Comm) error {
-		for i := 0; i < iters; i++ {
-			c.AllreduceSum(1)
-		}
-		return nil
-	}); err != nil {
-		b.Fatal(err)
-	}
-}

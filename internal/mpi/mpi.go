@@ -1,7 +1,7 @@
 // Package mpi is a small in-process message-passing substrate: a World of
 // ranks connected by buffered channels, with tagged point-to-point
-// send/receive (including out-of-order tag matching), barrier, gather and
-// allreduce collectives.
+// send/receive, including out-of-order tag matching and a non-blocking
+// receive.
 //
 // The paper uses MPI (OpenMPI 4.1.1) as the job substrate and as the
 // transport that partitioned communication (internal/partcomm) targets.
@@ -26,22 +26,6 @@ type Message struct {
 type World struct {
 	size  int
 	chans [][]chan Message // chans[src][dst]
-
-	barrier *barrier
-
-	gatherMu  sync.Mutex
-	gatherBuf map[gatherKey][][]byte
-
-	reduceMu  sync.Mutex
-	reduceBuf map[uint64][]float64
-}
-
-// gatherKey identifies one gather operation: collectives are matched by
-// call order (every rank's k-th gather pairs up), so buffers are keyed by
-// a per-rank sequence number that all ranks advance in lockstep.
-type gatherKey struct {
-	root int
-	seq  uint64
 }
 
 // chanCapacity bounds in-flight messages per (src, dst) pair. Partitioned
@@ -54,7 +38,7 @@ func NewWorld(n int) *World {
 	if n < 1 {
 		panic("mpi: world size must be >= 1")
 	}
-	w := &World{size: n, barrier: newBarrier(n), gatherBuf: map[gatherKey][][]byte{}, reduceBuf: map[uint64][]float64{}}
+	w := &World{size: n}
 	w.chans = make([][]chan Message, n)
 	for s := 0; s < n; s++ {
 		w.chans[s] = make([]chan Message, n)
@@ -64,9 +48,6 @@ func NewWorld(n int) *World {
 	}
 	return w
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
 
 // Comm returns rank's communicator handle.
 func (w *World) Comm(rank int) *Comm {
@@ -108,15 +89,10 @@ type Comm struct {
 	world      *World
 	rank       int
 	unexpected map[key][]Message
-	gatherSeq  uint64
-	reduceSeq  uint64
 }
 
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the world size.
-func (c *Comm) Size() int { return c.world.size }
 
 // Send delivers data to dst with the given tag. It never blocks under the
 // substrate's channel capacity; exceeding it (more than chanCapacity
@@ -175,136 +151,4 @@ func (c *Comm) TryRecv(src, tag int) (Message, bool) {
 			return Message{}, false
 		}
 	}
-}
-
-// Barrier blocks until every rank has entered it.
-func (c *Comm) Barrier() { c.world.barrier.wait() }
-
-// Gather collects each rank's data at root (returned slice indexed by
-// rank at root; nil elsewhere). All ranks must call it.
-func (c *Comm) Gather(root int, data []byte) [][]byte {
-	w := c.world
-	k := gatherKey{root: root, seq: c.gatherSeq}
-	c.gatherSeq++
-	w.gatherMu.Lock()
-	if w.gatherBuf[k] == nil {
-		w.gatherBuf[k] = make([][]byte, w.size)
-	}
-	w.gatherBuf[k][c.rank] = data
-	w.gatherMu.Unlock()
-	c.Barrier()
-	var out [][]byte
-	if c.rank == root {
-		w.gatherMu.Lock()
-		out = w.gatherBuf[k]
-		delete(w.gatherBuf, k)
-		w.gatherMu.Unlock()
-	}
-	return out
-}
-
-// AllreduceSum returns the sum of every rank's contribution on all ranks.
-func (c *Comm) AllreduceSum(x float64) float64 {
-	w := c.world
-	id := c.reduceSeq
-	c.reduceSeq++
-	w.reduceMu.Lock()
-	w.reduceBuf[id] = append(w.reduceBuf[id], x)
-	w.reduceMu.Unlock()
-	c.Barrier()
-	sum := 0.0
-	w.reduceMu.Lock()
-	for _, v := range w.reduceBuf[id] {
-		sum += v
-	}
-	w.reduceMu.Unlock()
-	c.Barrier()
-	if c.rank == 0 {
-		w.reduceMu.Lock()
-		delete(w.reduceBuf, id)
-		w.reduceMu.Unlock()
-	}
-	return sum
-}
-
-// Bcast distributes root's data to every rank (returned on all ranks).
-// All ranks must call it; non-root input data is ignored.
-func (c *Comm) Bcast(root int, data []byte) []byte {
-	const bcastTag = -1 << 20
-	if c.rank == root {
-		for dst := 0; dst < c.world.size; dst++ {
-			if dst != root {
-				c.Send(dst, bcastTag, data)
-			}
-		}
-		return data
-	}
-	return c.Recv(root, bcastTag).Data
-}
-
-// AllreduceMax returns the maximum of every rank's contribution on all
-// ranks.
-func (c *Comm) AllreduceMax(x float64) float64 {
-	w := c.world
-	id := c.reduceSeq
-	c.reduceSeq++
-	w.reduceMu.Lock()
-	w.reduceBuf[id] = append(w.reduceBuf[id], x)
-	w.reduceMu.Unlock()
-	c.Barrier()
-	max := x
-	w.reduceMu.Lock()
-	for _, v := range w.reduceBuf[id] {
-		if v > max {
-			max = v
-		}
-	}
-	w.reduceMu.Unlock()
-	c.Barrier()
-	if c.rank == 0 {
-		w.reduceMu.Lock()
-		delete(w.reduceBuf, id)
-		w.reduceMu.Unlock()
-	}
-	return max
-}
-
-// Sendrecv performs a combined send to dst and receive from src with the
-// same tag, safe against the pairwise-exchange deadlock because Send is
-// buffered.
-func (c *Comm) Sendrecv(dst, src, tag int, data []byte) Message {
-	c.Send(dst, tag, data)
-	return c.Recv(src, tag)
-}
-
-// barrier is a reusable counter barrier for n parties.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	gen   uint64
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) wait() {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
 }

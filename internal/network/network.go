@@ -133,8 +133,6 @@ func (h Hierarchical) Effective(ranks int) Fabric {
 type Link struct {
 	fabric Fabric
 	busy   float64
-	sent   int // messages pushed
-	bytes  int // payload bytes pushed
 }
 
 // NewLink returns an idle link over the fabric.
@@ -152,20 +150,10 @@ func (l *Link) Send(ready float64, bytes int) (done float64) {
 	}
 	done = start + l.fabric.TransferTime(bytes)
 	l.busy = done
-	l.sent++
-	l.bytes += bytes
 	return done
 }
-
-// BusyUntil returns the time the link becomes free.
-func (l *Link) BusyUntil() float64 { return l.busy }
-
-// Stats returns the number of messages and payload bytes pushed.
-func (l *Link) Stats() (messages, payloadBytes int) { return l.sent, l.bytes }
 
 // Reset returns the link to idle at time 0.
 func (l *Link) Reset() {
 	l.busy = 0
-	l.sent = 0
-	l.bytes = 0
 }

@@ -62,15 +62,11 @@ func TestLinkSerialisation(t *testing.T) {
 	if math.Abs(d3-12e-6) > 1e-15 {
 		t.Fatalf("d3=%v", d3)
 	}
-	if l.BusyUntil() != d3 {
-		t.Fatalf("busy=%v", l.BusyUntil())
-	}
-	msgs, bytes := l.Stats()
-	if msgs != 3 || bytes != 3000 {
-		t.Fatalf("stats %d/%d", msgs, bytes)
+	if l.busy != d3 {
+		t.Fatalf("busy=%v", l.busy)
 	}
 	l.Reset()
-	if l.BusyUntil() != 0 {
+	if l.busy != 0 {
 		t.Fatal("reset failed")
 	}
 }

@@ -43,7 +43,7 @@ func BenchmarkParallelForSchedules(b *testing.B) {
 			defer p.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.ParallelFor(n, sched, 16, func(j int) {
+				parallelFor(p, n, sched, 16, func(j int) {
 					sink.Add(int64(j & 1))
 				})
 			}

@@ -41,8 +41,8 @@ func TestThreadNumAndNumThreads(t *testing.T) {
 	}
 	var ids sync.Map
 	p.Parallel(func(tc *ThreadContext) {
-		if tc.NumThreads() != 5 {
-			t.Errorf("tc.NumThreads = %d", tc.NumThreads())
+		if tc.region.team != 5 {
+			t.Errorf("region team = %d", tc.region.team)
 		}
 		ids.Store(tc.ThreadNum(), true)
 	})
@@ -53,13 +53,19 @@ func TestThreadNumAndNumThreads(t *testing.T) {
 	}
 }
 
+// parallelFor runs a parallel region holding one work-shared loop over
+// [0, n).
+func parallelFor(p *Pool, n int, sched Schedule, chunk int, body func(i int)) {
+	p.Parallel(func(tc *ThreadContext) { tc.For(n, sched, chunk, body) })
+}
+
 // coverage checks that a schedule covers each iteration exactly once.
 func coverage(t *testing.T, nthreads, n int, sched Schedule, chunk int) {
 	t.Helper()
 	p := NewPool(nthreads)
 	defer p.Close()
 	counts := make([]atomic.Int32, n)
-	p.ParallelFor(n, sched, chunk, func(i int) {
+	parallelFor(p, n, sched, chunk, func(i int) {
 		counts[i].Add(1)
 	})
 	for i := range counts {
@@ -89,7 +95,7 @@ func TestScheduleCoverageProperty(t *testing.T) {
 		p := NewPool(nthreads)
 		defer p.Close()
 		counts := make([]atomic.Int32, n)
-		p.ParallelFor(n, sched, chunk, func(i int) { counts[i].Add(1) })
+		parallelFor(p, n, sched, chunk, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if counts[i].Load() != 1 {
 				return false
@@ -189,8 +195,8 @@ func TestBarrierReusableAcrossPhases(t *testing.T) {
 
 func TestStandaloneBarrier(t *testing.T) {
 	b := NewBarrier(3)
-	if b.Parties() != 3 {
-		t.Fatalf("Parties = %d", b.Parties())
+	if b.n != 3 {
+		t.Fatalf("parties = %d", b.n)
 	}
 	var wg sync.WaitGroup
 	var hits atomic.Int32

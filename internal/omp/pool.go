@@ -109,10 +109,9 @@ func (p *Pool) Parallel(body func(tc *ThreadContext)) {
 // ParallelTeam runs a fork/join parallel region on a dynamically sized
 // team of n threads (threads 0..n-1 of the pool), like a parallel region
 // with a num_threads clause under a DLB runtime that has lent the
-// remaining cores away: NumThreads, barriers, work-sharing loops and
-// reductions all see the region's team size, not the pool's, so the same
-// region body runs correctly at any ownership level. n is clamped to the
-// pool size; n < 1 panics.
+// remaining cores away: barriers and work-sharing loops see the region's
+// team size, not the pool's, so the same region body runs correctly at
+// any ownership level. n is clamped to the pool size; n < 1 panics.
 func (p *Pool) ParallelTeam(n int, body func(tc *ThreadContext)) {
 	if p.closed.Load() {
 		panic("omp: Parallel on closed pool")
@@ -133,14 +132,6 @@ func (p *Pool) ParallelTeam(n int, body func(tc *ThreadContext)) {
 		p.tasks[i] <- task{body: body, reg: reg, done: &done}
 	}
 	done.Wait()
-}
-
-// ParallelFor is shorthand for a parallel region containing a single
-// work-shared loop over [0, n).
-func (p *Pool) ParallelFor(n int, sched Schedule, chunk int, body func(i int)) {
-	p.Parallel(func(tc *ThreadContext) {
-		tc.For(n, sched, chunk, body)
-	})
 }
 
 // Close shuts the team down. The pool must not be used afterwards.
@@ -166,7 +157,6 @@ type region struct {
 
 	mu    sync.Mutex
 	loops []*loopState
-	cs    *constructState
 }
 
 func (r *region) loop(seq, n, nthreads int, sched Schedule, chunk int) *loopState {
@@ -183,19 +173,13 @@ func (r *region) loop(seq, n, nthreads int, sched Schedule, chunk int) *loopStat
 
 // ThreadContext is the per-thread view of a parallel region.
 type ThreadContext struct {
-	id        int
-	region    *region
-	loopSeq   int
-	singleSeq int
-	reduceSeq int
+	id      int
+	region  *region
+	loopSeq int
 }
 
 // ThreadNum returns this thread's id within the team (omp_get_thread_num).
 func (tc *ThreadContext) ThreadNum() int { return tc.id }
-
-// NumThreads returns the team size of the current region, which may be
-// smaller than the pool when the region was forked with ParallelTeam.
-func (tc *ThreadContext) NumThreads() int { return tc.region.team }
 
 // Barrier blocks until every thread of the region's team has reached it.
 func (tc *ThreadContext) Barrier() { tc.region.barrier.Wait() }

@@ -29,7 +29,7 @@ const DefaultEWMAMinTimeoutSec = 10e-6
 // (no history yet) uses InitTimeoutSec.
 //
 // EWMABinned carries per-iteration state. The evaluation entry points
-// (NewStrategyAccumulator, EvaluateStream, SweepCursor, Evaluate) Reset
+// (NewStrategyAccumulator, EvaluateStream, SweepCursor) Reset
 // it up front, so repeated evaluations with one instance are
 // deterministic; drive it from a single deterministic cursor and do not
 // share one across goroutines or merged accumulators.

@@ -75,17 +75,6 @@ func (s *PartitionedSend) Pready(i int) error {
 	return nil
 }
 
-// Pending returns the number of partitions not yet marked ready.
-func (s *PartitionedSend) Pending() int {
-	n := 0
-	for _, r := range s.ready {
-		if !r {
-			n++
-		}
-	}
-	return n
-}
-
 // PartitionedRecv is the receiver side of one partitioned transfer.
 type PartitionedRecv struct {
 	comm       *mpi.Comm

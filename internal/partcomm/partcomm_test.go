@@ -28,8 +28,10 @@ func TestPartitionedTransferDelivers(t *testing.T) {
 					return err
 				}
 			}
-			if ps.Pending() != 0 {
-				return fmt.Errorf("pending = %d", ps.Pending())
+			for i, r := range ps.ready {
+				if !r {
+					return fmt.Errorf("partition %d still pending", i)
+				}
 			}
 			return nil
 		}
@@ -51,15 +53,15 @@ func TestPartitionedTransferDelivers(t *testing.T) {
 func TestParrivedPolling(t *testing.T) {
 	w := mpi.NewWorld(2)
 	payload := make([]byte, 4*8)
+	sent, checked := make(chan struct{}), make(chan struct{})
 	err := w.Run(func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			ps, _ := NewSend(c, 1, 1, payload, 4)
-			c.Barrier() // phase 1: nothing sent yet
 			if err := ps.Pready(2); err != nil {
 				return err
 			}
-			c.Barrier() // phase 2: partition 2 sent
-			c.Barrier() // phase 3: receiver checked
+			close(sent) // partition 2 sent
+			<-checked   // receiver checked
 			for _, i := range []int{0, 1, 3} {
 				if err := ps.Pready(i); err != nil {
 					return err
@@ -68,8 +70,7 @@ func TestParrivedPolling(t *testing.T) {
 			return nil
 		}
 		pr, _ := NewRecv(c, 0, 1, len(payload), 4)
-		c.Barrier()
-		c.Barrier()
+		<-sent
 		if ok, _ := pr.Parrived(2); !ok {
 			return fmt.Errorf("partition 2 should have arrived")
 		}
@@ -79,7 +80,7 @@ func TestParrivedPolling(t *testing.T) {
 		if pr.ArrivedCount() != 1 {
 			return fmt.Errorf("arrived count = %d", pr.ArrivedCount())
 		}
-		c.Barrier()
+		close(checked)
 		pr.Wait()
 		if pr.ArrivedCount() != 4 {
 			return fmt.Errorf("final arrived count = %d", pr.ArrivedCount())
@@ -232,9 +233,12 @@ func TestEvaluateOrdering(t *testing.T) {
 	d := tinyDataset(rows)
 	f := network.OmniPath()
 	const part = 1 << 20
-	res := Evaluate(d, part, f, []Strategy{Bulk{}, FineGrained{}, Binned{TimeoutSec: 1e-3}})
+	res := EvaluateStream(d.Cursor(), part, f, []Strategy{Bulk{}, FineGrained{}, Binned{TimeoutSec: 1e-3}})
 	if res[0].Strategy != "bulk" {
 		t.Fatalf("order: %+v", res)
+	}
+	if got := res[2].Strategy; got != "binned(1000us)" { // golden files key on it
+		t.Errorf("Binned name changed: %q", got)
 	}
 	if res[0].MeanOverlapSec < -1e-12 || res[0].MeanOverlapSec > 1e-12 {
 		t.Errorf("bulk vs bulk overlap = %v", res[0].MeanOverlapSec)

@@ -1,5 +1,4 @@
-// Cursor-native strategy evaluation: the streaming counterpart of the
-// materialised Evaluate path. A StrategyAccumulator folds one process
+// Cursor-native strategy evaluation. A StrategyAccumulator folds one process
 // iteration at a time — sorting the arrivals into a reused scratch
 // buffer, never retaining the block — so delivery strategies evaluate
 // straight off a trace.Cursor (or a cluster.Fill observer), one block
@@ -16,13 +15,13 @@ import (
 // StrategyAccumulator evaluates a fixed strategy set over process
 // iterations one block at a time. Per-block work is exact — each block is
 // a complete iteration when observed — so Finalize returns precisely what
-// the materialised Evaluate path computes, in O(threads) live memory.
+// a pass over the materialised dataset computes, in O(threads) live
+// memory.
 //
-// An accumulator is not safe for concurrent use. Accumulators over
-// stateless strategies are mergeable in any order; adaptive strategies
-// (see adaptive.go) carry per-iteration state, so their results depend on
-// observation order and should be driven from a single deterministic
-// cursor rather than merged across parallel observers.
+// An accumulator is not safe for concurrent use. Adaptive strategies (see
+// adaptive.go) carry per-iteration state, so their results depend on
+// observation order: drive an accumulator from a single deterministic
+// cursor.
 type StrategyAccumulator struct {
 	strategies   []Strategy
 	bytesPerPart int
@@ -79,25 +78,6 @@ func (a *StrategyAccumulator) ObserveBlock(trial, rank, iter int, xs []float64) 
 	}
 	a.n++
 }
-
-// Merge folds another accumulator (same strategies, sizes and fabric)
-// into this one. Only valid for stateless strategy sets: adaptive
-// strategies make per-worker partitions order-dependent. o must not be
-// used afterwards.
-func (a *StrategyAccumulator) Merge(o *StrategyAccumulator) {
-	if o == nil {
-		return
-	}
-	a.n += o.n
-	a.bulkSum += o.bulkSum
-	a.potentialSum += o.potentialSum
-	for k := range a.finishSums {
-		a.finishSums[k] += o.finishSums[k]
-	}
-}
-
-// Iterations returns how many process iterations have been observed.
-func (a *StrategyAccumulator) Iterations() int { return a.n }
 
 // PotentialOverlapSec returns the mean idealised per-thread overlap of
 // the observed iterations (the upper bound of the paper's Figure 2).
@@ -181,8 +161,9 @@ func SweepCursor(cur *trace.Cursor, bytesPerPart int, f network.Fabric, strategi
 	return sw
 }
 
-// EvaluateStream is the cursor-native counterpart of Evaluate: identical
-// results, in O(threads) live memory.
+// EvaluateStream runs each strategy over every process iteration the
+// cursor yields, with one partition per thread of bytesPerPart bytes, in
+// O(threads) live memory.
 func EvaluateStream(cur *trace.Cursor, bytesPerPart int, f network.Fabric, strategies []Strategy) []Result {
 	return SweepCursor(cur, bytesPerPart, f, strategies).Results
 }

@@ -103,9 +103,11 @@ func TestEvaluateStreamMatchesMaterializedPaperGeometry(t *testing.T) {
 	}
 }
 
-// TestEvaluateAdapterMatchesStream: the deprecated materialised-signature
-// Evaluate is a thin adapter and must return exactly the cursor path's
-// results (Binned's Name stays stable for golden files).
+// TestEvaluateAdapterMatchesStream: callers that held a materialised
+// Dataset evaluate it through EvaluateStream on d.Cursor(). That path
+// must be repeatable on the same strategy values (stateful strategies
+// are reset per call), agree with the materialised reference, and keep
+// Binned's Name stable for golden files.
 func TestEvaluateAdapterMatchesStream(t *testing.T) {
 	model, err := workload.ByName("minimd")
 	if err != nil {
@@ -116,61 +118,21 @@ func TestEvaluateAdapterMatchesStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	strategies := []Strategy{Bulk{}, FineGrained{}, Binned{TimeoutSec: 1e-3}}
-	viaAdapter := Evaluate(col, 1<<20, network.OmniPath(), strategies)
-	viaCursor := EvaluateStream(col.Cursor(), 1<<20, network.OmniPath(), strategies)
-	for i := range viaAdapter {
-		if viaAdapter[i] != viaCursor[i] {
-			t.Errorf("result %d: adapter %+v vs cursor %+v", i, viaAdapter[i], viaCursor[i])
+	first := EvaluateStream(col.Cursor(), 1<<20, network.OmniPath(), strategies)
+	again := EvaluateStream(col.Cursor(), 1<<20, network.OmniPath(), strategies)
+	reference := evaluateMaterialized(col, 1<<20, network.OmniPath(), strategies)
+	for i := range first {
+		if first[i] != again[i] {
+			t.Errorf("result %d: first %+v vs repeated %+v", i, first[i], again[i])
+		}
+		if first[i].Strategy != reference[i].Strategy ||
+			relDiff(first[i].MeanFinishSec, reference[i].MeanFinishSec) > 1e-12 ||
+			relDiff(first[i].MeanOverlapSec, reference[i].MeanOverlapSec) > 1e-12 {
+			t.Errorf("result %d: cursor %+v vs reference %+v", i, first[i], reference[i])
 		}
 	}
-	if got := viaAdapter[2].Strategy; got != "binned(1000us)" {
+	if got := first[2].Strategy; got != "binned(1000us)" {
 		t.Errorf("Binned name changed: %q", got)
-	}
-}
-
-// TestStrategyAccumulatorMerge: for stateless strategies, accumulators
-// over disjoint block partitions merge to the sequential result.
-func TestStrategyAccumulatorMerge(t *testing.T) {
-	model, err := workload.ByName("miniqmc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cluster.Config{Trials: 1, Ranks: 2, Iterations: 16, Threads: 48, Seed: 3}
-	col, err := cluster.RunColumnarDLB(model, cfg, dlb.Spec{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strategies := func() []Strategy {
-		return []Strategy{Bulk{}, FineGrained{}, Binned{TimeoutSec: 0.5e-3}}
-	}
-	f := network.OmniPath()
-
-	seq := NewStrategyAccumulator(strategies(), 1<<18, f)
-	a := NewStrategyAccumulator(strategies(), 1<<18, f)
-	b := NewStrategyAccumulator(strategies(), 1<<18, f)
-	i := 0
-	for cur := col.Cursor(); cur.Next(); i++ {
-		blk := cur.Block()
-		seq.ObserveBlock(blk.Trial, blk.Rank, blk.Iter, blk.Times)
-		if i%2 == 0 {
-			a.ObserveBlock(blk.Trial, blk.Rank, blk.Iter, blk.Times)
-		} else {
-			b.ObserveBlock(blk.Trial, blk.Rank, blk.Iter, blk.Times)
-		}
-	}
-	a.Merge(b)
-	if a.Iterations() != seq.Iterations() {
-		t.Fatalf("merged %d iterations, want %d", a.Iterations(), seq.Iterations())
-	}
-	got, want := a.Finalize(), seq.Finalize()
-	for k := range want {
-		if relDiff(got[k].MeanFinishSec, want[k].MeanFinishSec) > 1e-12 ||
-			relDiff(got[k].MeanOverlapSec, want[k].MeanOverlapSec) > 1e-9 {
-			t.Errorf("%s: merged %+v vs sequential %+v", want[k].Strategy, got[k], want[k])
-		}
-	}
-	if relDiff(a.PotentialOverlapSec(), seq.PotentialOverlapSec()) > 1e-12 {
-		t.Errorf("potential: merged %v vs sequential %v", a.PotentialOverlapSec(), seq.PotentialOverlapSec())
 	}
 }
 

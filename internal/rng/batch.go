@@ -1,6 +1,6 @@
 package rng
 
-// Fast scalar and batch drawing paths.
+// Fast scalar and fused block-fill drawing paths.
 //
 // The embedded *rand.Rand reaches its PCG generator through the
 // rand.Source interface, so every draw pays an interface call (and the
@@ -32,31 +32,6 @@ func (s *Source) NormFloat64() float64 { return normFloat64pcg(s.pcg) }
 // ExpFloat64 returns a unit-mean exponential draw. Shadows
 // (*rand.Rand).ExpFloat64 with a devirtualized, bit-identical version.
 func (s *Source) ExpFloat64() float64 { return expFloat64pcg(s.pcg) }
-
-// Float64Batch fills out with len(out) consecutive Float64 draws.
-func (s *Source) Float64Batch(out []float64) {
-	p := s.pcg
-	for i := range out {
-		out[i] = float64pcg(p)
-	}
-}
-
-// NormFloat64Batch fills out with len(out) consecutive NormFloat64
-// draws.
-func (s *Source) NormFloat64Batch(out []float64) {
-	p := s.pcg
-	for i := range out {
-		out[i] = normFloat64pcg(p)
-	}
-}
-
-// ExpFloat64Batch fills out with len(out) consecutive ExpFloat64 draws.
-func (s *Source) ExpFloat64Batch(out []float64) {
-	p := s.pcg
-	for i := range out {
-		out[i] = expFloat64pcg(p)
-	}
-}
 
 // FillNormal sets out[i] = Normal(mu, sigma) for every element —
 // element-wise identical to the scalar loop.

@@ -68,8 +68,8 @@ func TestFastPathRawGolden(t *testing.T) {
 	}
 }
 
-// TestBatchEqualsScalar is the batch-RNG property test: every batch
-// primitive and fused fill must equal the scalar loop it replaces,
+// TestBatchEqualsScalar is the batch-RNG property test: every fused
+// fill must equal the scalar loop it replaces,
 // element-wise and bit-exact, consuming the stream identically (checked
 // by comparing a post-batch draw too).
 func TestBatchEqualsScalar(t *testing.T) {
@@ -80,33 +80,6 @@ func TestBatchEqualsScalar(t *testing.T) {
 		scalar func(s *Source, out []float64)
 	}
 	variants := []variant{
-		{
-			"Float64Batch",
-			func(s *Source, out []float64) { s.Float64Batch(out) },
-			func(s *Source, out []float64) {
-				for i := range out {
-					out[i] = s.Float64()
-				}
-			},
-		},
-		{
-			"NormFloat64Batch",
-			func(s *Source, out []float64) { s.NormFloat64Batch(out) },
-			func(s *Source, out []float64) {
-				for i := range out {
-					out[i] = s.NormFloat64()
-				}
-			},
-		},
-		{
-			"ExpFloat64Batch",
-			func(s *Source, out []float64) { s.ExpFloat64Batch(out) },
-			func(s *Source, out []float64) {
-				for i := range out {
-					out[i] = s.ExpFloat64()
-				}
-			},
-		},
 		{
 			"FillNormal",
 			func(s *Source, out []float64) { s.FillNormal(out, 26.3e-3, 0.1e-3) },

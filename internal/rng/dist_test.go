@@ -5,13 +5,10 @@ import (
 	"testing"
 )
 
-// The golden sequences below were captured from the pre-PR-7
-// implementations of Pareto (u == 0 retry spin) and TruncNormal
-// (1024-iteration rejection cap). The edge-handling rewrite must keep
-// every non-pathological draw bit-identical: Pareto consumes exactly
-// the same uniforms for u != 0, and TruncNormal's rejection path (any
-// interval holding >= 1/16 probability mass) consumes exactly the same
-// normals.
+// The Pareto golden sequence below was captured from the earlier
+// implementation with a u == 0 retry spin. The edge-handling rewrite
+// must keep every non-pathological draw bit-identical: Pareto consumes
+// exactly the same uniforms for u != 0.
 
 func TestParetoSequencePinned(t *testing.T) {
 	want := map[uint64][]float64{
@@ -37,87 +34,6 @@ func TestParetoZeroUniform(t *testing.T) {
 	want := 3 / math.Pow(0x1p-53, 1/2.5)
 	if math.IsInf(want, 0) || want < 3 {
 		t.Fatalf("clamp transform broken: %v", want)
-	}
-}
-
-func TestTruncNormalSequencePinned(t *testing.T) {
-	// Wide interval [7, 14] around N(10, 2): 91% acceptance mass, so
-	// the rejection path runs and must replay the historical draws.
-	want := map[uint64][]float64{
-		1: {11.003560369312181, 10.617071856796406, 7.679941708636731, 7.723257255176527, 9.494492859573889, 13.094163854377875},
-		2: {7.563236373129522, 13.171186445856295, 7.253877661122765, 10.150357052889913, 13.913102393239264, 11.259589850727357},
-		3: {12.470795387497429, 8.793123100762182, 8.788469184419618, 10.712248613483535, 8.96162341407799, 10.397637435903011},
-	}
-	for seed, seq := range want {
-		s := New(seed)
-		for i, w := range seq {
-			if got := s.TruncNormal(10, 2, 7, 14); got != w {
-				t.Fatalf("seed %d draw %d: got %v want %v", seed, i, got, w)
-			}
-		}
-	}
-}
-
-// TestTruncNormalThinInterval exercises the inverse-transform path that
-// replaced the 1024-iteration rejection cap. The historical
-// implementation returned exactly 2.5 (the clamp) for seed 7's second
-// draw after exhausting the cap; the direct transform must instead land
-// strictly inside the interval for every draw, deterministically.
-func TestTruncNormalThinInterval(t *testing.T) {
-	s := New(7)
-	var got []float64
-	for i := 0; i < 4; i++ {
-		x := s.TruncNormal(0, 1, 2.5, 2.6)
-		if x < 2.5 || x > 2.6 {
-			t.Fatalf("draw %d out of [2.5, 2.6]: %v", i, x)
-		}
-		got = append(got, x)
-	}
-	// Deterministic: a fresh stream replays the same values.
-	s2 := New(7)
-	for i, w := range got {
-		if x := s2.TruncNormal(0, 1, 2.5, 2.6); x != w {
-			t.Fatalf("draw %d not deterministic: %v vs %v", i, x, w)
-		}
-	}
-	// One uniform per draw: after 4 draws the stream position is
-	// exactly 4 uniforms in.
-	ref := New(7)
-	for i := 0; i < 4; i++ {
-		ref.Float64()
-	}
-	if g, w := s2.Uint64(), ref.Uint64(); g != w {
-		t.Fatalf("thin-interval draw consumed more than one uniform (%#x != %#x)", g, w)
-	}
-}
-
-// TestTruncNormalThinIntervalDistribution checks the inverse transform
-// against the conditional CDF: the median of the draws must sit near
-// the interval's conditional median, not at the boundary clamp.
-func TestTruncNormalThinIntervalDistribution(t *testing.T) {
-	s := New(42)
-	const n = 4096
-	lo, hi := 2.5, 2.6
-	below := 0
-	// Conditional median: Phi^-1((Phi(lo)+Phi(hi))/2).
-	// Compute via the same transform the implementation uses, at u=0.5.
-	mid := s.TruncNormal(0, 1, lo, hi) // warm draw, discarded value-wise
-	_ = mid
-	for i := 0; i < n; i++ {
-		x := s.TruncNormal(0, 1, lo, hi)
-		if x < lo || x > hi {
-			t.Fatalf("draw out of range: %v", x)
-		}
-		if x == lo || x == hi {
-			t.Fatalf("boundary clamp fired on a regular draw: %v", x)
-		}
-		if x < 2.548 { // conditional median is ~2.548 for N(0,1) on [2.5,2.6]
-			below++
-		}
-	}
-	frac := float64(below) / n
-	if frac < 0.45 || frac > 0.55 {
-		t.Fatalf("thin-interval draws misdistributed: %v below conditional median", frac)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"earlybird/internal/cliopts"
@@ -231,19 +230,4 @@ func (c *Compiled) Plan() string {
 		fmt.Fprintf(&b, "%3d  %s\n", cell.Index, cell.coord())
 	}
 	return b.String()
-}
-
-// Summary condenses the campaign for logs: cell count plus per-axis
-// cardinalities actually used.
-func (c *Compiled) Summary() string {
-	srcs := map[string]bool{}
-	for _, cell := range c.Cells {
-		srcs[cell.SourceKey] = true
-	}
-	names := make([]string, 0, len(srcs))
-	for k := range srcs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return fmt.Sprintf("%d cells over %d sources (%s)", len(c.Cells), len(names), strings.Join(names, ", "))
 }

@@ -132,7 +132,7 @@ func TestShardAdmissionSheds(t *testing.T) {
 	shard := ShardRequest{App: "minife", Geometry: ptr(testGeom()), TrialLo: 0, TrialHi: 1}
 
 	tr := degradedTracker("shard-shed", 0.1)
-	s.Telemetry().Register(tr)
+	s.tel.Register(tr)
 	resp := postJSON(t, ts.URL+"/v1/shard", shard)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -150,7 +150,7 @@ func TestShardAdmissionSheds(t *testing.T) {
 		t.Errorf("invalid shard under shed: status %d, want 422", bad.StatusCode)
 	}
 
-	s.Telemetry().Finish(tr)
+	s.tel.Finish(tr)
 	ok := postJSON(t, ts.URL+"/v1/shard", shard)
 	var sr ShardResponse
 	decodeInto(t, ok, &sr)

@@ -74,10 +74,6 @@ func (s *Server) newTracker(model string, geom cluster.Config, policy dlb.Spec) 
 	return tr
 }
 
-// Telemetry returns the server's live-telemetry registry — shared with
-// Options.Telemetry when one was supplied.
-func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
-
 // handleProgress serves GET /v1/progress. With ?id= it streams that
 // study's snapshots as NDJSON — one line per interval, flushed
 // immediately — until the study finishes (the final line has

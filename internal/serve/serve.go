@@ -363,6 +363,9 @@ func (s *Server) runStudy(wire StudySpec) (engine.Result, Source, error) {
 		sp.DLB = s.opts.DefaultDLB
 	}
 	resolved, err := sp.Resolve()
+	if err == nil {
+		err = resolved.Geometry.Validate() // the limit below needs an exact Samples
+	}
 	if err != nil {
 		return engine.Result{}, "", err
 	}

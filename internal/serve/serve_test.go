@@ -608,3 +608,52 @@ func mustKey(t *testing.T, sp engine.Spec) engine.SpecKey {
 	}
 	return resolved.Key()
 }
+
+// TestOverflowingGeometryRejectedBeforeFill: a geometry whose sample
+// count overflows int wraps Samples to 0 or below, under every sample
+// limit. /v1/study must answer writeStudyError's status, a /v1/sweep row
+// must carry the error, and no fill may start.
+func TestOverflowingGeometryRejectedBeforeFill(t *testing.T) {
+	s, ts := newTestServer(t)
+	geoms := []cluster.Config{
+		{Trials: 1, Ranks: 1, Iterations: 1 << 32, Threads: 1 << 32, Seed: 1},
+		{Trials: 65536, Ranks: 65536, Iterations: 65536, Threads: 65536, Seed: 1},
+		{Trials: 3, Ranks: 1 << 62, Iterations: 1, Threads: 48, Seed: 1},
+	}
+	for _, g := range geoms {
+		resp := postJSON(t, ts.URL+"/v1/study", StudySpec{App: "minife", Geometry: &g})
+		var e errorResponse
+		decodeInto(t, resp, &e)
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "samples") {
+			t.Errorf("study %+v: status %d error %q, want 422 naming the sample count", g, resp.StatusCode, e.Error)
+		}
+	}
+
+	resp := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Apps: []string{"minife"}, Geometries: geoms})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d", resp.StatusCode)
+	}
+	rows := 0
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var row SweepRow
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		rows++
+		if !strings.Contains(row.Err, "samples") {
+			t.Errorf("sweep row %d (%+v): error %q, want the sample-count error", row.Index, row.Geometry, row.Err)
+		}
+	}
+	if rows != len(geoms) {
+		t.Fatalf("sweep streamed %d rows, want %d", rows, len(geoms))
+	}
+
+	if tot := s.tel.Totals(); tot.ActiveStudies != 0 || tot.StudiesStarted != 0 {
+		t.Errorf("telemetry %+v: a fill started", tot)
+	}
+	if n := s.eng.Executions(); n != 0 {
+		t.Errorf("engine ran %d dataset generations, want 0", n)
+	}
+}

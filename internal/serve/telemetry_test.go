@@ -28,7 +28,7 @@ func TestProgressStreamMonotone(t *testing.T) {
 		ID: "feedme", App: "minife",
 		Trials: 4, Ranks: 5, Iterations: 10, Threads: 8, Workers: 2,
 	})
-	s.Telemetry().Register(tr)
+	s.tel.Register(tr)
 
 	total := 4 * 5 * 10
 	go func() {
@@ -39,7 +39,7 @@ func TestProgressStreamMonotone(t *testing.T) {
 			time.Sleep(4 * time.Millisecond)
 		}
 		tr.ObserveLend(1)
-		s.Telemetry().Finish(tr)
+		s.tel.Finish(tr)
 	}()
 
 	resp, err := http.Get(ts.URL + "/v1/progress?id=feedme&interval_ms=10")
@@ -303,8 +303,8 @@ func TestAdmissionShedsUnderWatermark(t *testing.T) {
 
 	// Degraded in-flight study: efficiency 0.1 < watermark 0.5.
 	tr := degradedTracker("degraded", 0.1)
-	s.Telemetry().Register(tr)
-	if eff, live := s.Telemetry().Efficiency(); !live || eff >= 0.5 {
+	s.tel.Register(tr)
+	if eff, live := s.tel.Efficiency(); !live || eff >= 0.5 {
 		t.Fatalf("synthetic efficiency = %v (live %v), want < 0.5", eff, live)
 	}
 
@@ -348,7 +348,7 @@ func TestAdmissionShedsUnderWatermark(t *testing.T) {
 	}
 
 	// Finishing the degraded study removes the signal; admission reopens.
-	s.Telemetry().Finish(tr)
+	s.tel.Finish(tr)
 	var after StudyResponse
 	decodeInto(t, postJSON(t, ts.URL+"/v1/study", StudySpec{App: "minife", Geometry: ptr(fresh)}), &after)
 	if after.Source != SourceExecuted {
@@ -387,12 +387,12 @@ func TestStatsAndHealthzCarryTelemetry(t *testing.T) {
 	// A degraded in-flight study pulls the advertised capacity down to
 	// its efficiency (floored at minWorkerCapacity).
 	tr := degradedTracker("drag", 0.02)
-	s.Telemetry().Register(tr)
+	s.tel.Register(tr)
 	decodeInto(t, mustGet(t, ts.URL+"/v1/healthz"), &hz)
 	if hz.ActiveStudies != 1 || hz.Capacity != minWorkerCapacity {
 		t.Fatalf("degraded healthz %+v, want capacity floor %v", hz, minWorkerCapacity)
 	}
-	s.Telemetry().Finish(tr)
+	s.tel.Finish(tr)
 }
 
 // TestObservabilityHandler: the standalone handler (the -metrics-addr

@@ -123,17 +123,3 @@ func MergeRuns(dst, a, b []float64) {
 	k += copy(dst[k:], a[i:])
 	copy(dst[k:], b[j:])
 }
-
-// insertion is a straight insertion sort, kept as the reference point
-// the network strategy is benchmarked against (BenchmarkSortInsertion).
-func insertion(s []float64) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
-}

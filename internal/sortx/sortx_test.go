@@ -128,3 +128,17 @@ func sizeName(n int) string {
 	}
 	return "n" + string(out)
 }
+
+// insertion is a straight insertion sort, kept as the reference point
+// the network strategy is benchmarked against (BenchmarkSortInsertion).
+func insertion(s []float64) {
+	for i := 1; i < len(s); i++ {
+		v := s[i]
+		j := i - 1
+		for j >= 0 && s[j] > v {
+			s[j+1] = s[j]
+			j--
+		}
+		s[j+1] = v
+	}
+}

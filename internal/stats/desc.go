@@ -77,7 +77,7 @@ func CentralMoments(xs []float64) (m2, m3, m4 float64) {
 
 // Shape returns the sample skewness g1 = m3 / m2^(3/2) and the
 // (non-excess) sample kurtosis b2 = m4 / m2² from one CentralMoments
-// pass — the moment estimators of D'Agostino's and Jarque-Bera's tests.
+// pass — the moment estimators of D'Agostino's test.
 func Shape(xs []float64) (g1, b2 float64) {
 	m2, m3, m4 := CentralMoments(xs)
 	return m3 / math.Pow(m2, 1.5), m4 / (m2 * m2)

@@ -104,8 +104,8 @@ func FuzzSketchUnmarshal(f *testing.F) {
 		fresh := NewQuantileSketch(0)
 		fresh.Merge(dec)
 		fresh.Merge(back)
-		if fresh.N() != 2*dec.N() {
-			t.Fatalf("merged n %d, want %d", fresh.N(), 2*dec.N())
+		if fresh.n != 2*dec.n {
+			t.Fatalf("merged n %d, want %d", fresh.n, 2*dec.n)
 		}
 		fresh.Quantile(0.5)
 	})

@@ -1,7 +1,7 @@
-// Binary codecs for the streaming accumulators, so shard-level state can
-// travel over the fleet's /v1/shard wire and merge on the coordinator.
-// Formats are versioned and value-preserving (see internal/wire): an
-// unmarshalled accumulator continues exactly where the marshalled one
+// The quantile sketch's binary codec, so shard-level state can travel
+// over the fleet's /v1/shard wire and merge on the coordinator. The
+// format is versioned and value-preserving (see internal/wire): an
+// unmarshalled sketch continues exactly where the marshalled one
 // stopped.
 
 package stats
@@ -13,11 +13,9 @@ import (
 	"earlybird/internal/wire"
 )
 
-// Codec version bytes, bumped on any layout change.
-const (
-	momentsCodecVersion uint8 = 1
-	sketchCodecVersion  uint8 = 1
-)
+// sketchCodecVersion is the codec's version byte, bumped on any layout
+// change.
+const sketchCodecVersion uint8 = 1
 
 // maxSketchCompression bounds the compression a decoded sketch may
 // carry. A sketch sizes its merge buffers from its compression, so an
@@ -25,48 +23,6 @@ const (
 // bound sits two orders of magnitude above the largest compression
 // this repository uses (DefaultSketchCompression).
 const maxSketchCompression = 1e4
-
-// MarshalBinary encodes the accumulator's full state. The encoding is
-// deterministic: equal accumulators marshal to equal bytes.
-func (m *Moments) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
-	w.U8(momentsCodecVersion)
-	w.I64(m.n)
-	w.F64(m.mean)
-	w.F64(m.m2)
-	w.F64(m.m3)
-	w.F64(m.m4)
-	w.F64(m.minSeen)
-	w.F64(m.maxSeen)
-	if m.nonEmpty {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-	return w.Buf, nil
-}
-
-// UnmarshalBinary replaces the accumulator's state with the decoded one.
-func (m *Moments) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	if v := r.U8(); r.Err() == nil && v != momentsCodecVersion {
-		return fmt.Errorf("stats: unknown Moments codec version %d", v)
-	}
-	var dec Moments
-	dec.n = r.I64()
-	dec.mean = r.F64()
-	dec.m2 = r.F64()
-	dec.m3 = r.F64()
-	dec.m4 = r.F64()
-	dec.minSeen = r.F64()
-	dec.maxSeen = r.F64()
-	dec.nonEmpty = r.U8() != 0
-	if err := r.Finish("Moments"); err != nil {
-		return err
-	}
-	*m = dec
-	return nil
-}
 
 // MarshalBinary encodes the sketch. Buffered values are compressed first
 // (a state change Quantile performs anyway), so the encoding holds only

@@ -1,69 +1,9 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
-
-// TestMomentsBinaryRoundTrip: an unmarshalled Moments must answer every
-// accessor bit-identically and keep accumulating as the original would.
-func TestMomentsBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var m Moments
-	for i := 0; i < 1000; i++ {
-		m.Add(rng.NormFloat64()*3 + 10)
-	}
-
-	data, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Moments
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if back != m {
-		t.Fatalf("round trip changed state: %+v vs %+v", back, m)
-	}
-
-	// Continue accumulating on both sides: still identical.
-	for i := 0; i < 100; i++ {
-		x := rng.ExpFloat64()
-		m.Add(x)
-		back.Add(x)
-	}
-	if back != m {
-		t.Fatalf("post-round-trip accumulation diverged: %+v vs %+v", back, m)
-	}
-
-	// Deterministic encoding.
-	d2, _ := m.MarshalBinary()
-	d3, _ := m.MarshalBinary()
-	if string(d2) != string(d3) {
-		t.Error("MarshalBinary is not deterministic")
-	}
-}
-
-// TestMomentsBinaryEmpty: the zero accumulator survives the wire too.
-func TestMomentsBinaryEmpty(t *testing.T) {
-	var m Moments
-	data, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Moments
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if back.N() != 0 || !math.IsNaN(back.Mean()) {
-		t.Fatalf("empty round trip: %+v", back)
-	}
-	back.Add(4) // must initialise min/max like a fresh accumulator
-	if back.Min() != 4 || back.Max() != 4 {
-		t.Fatalf("empty round trip broke min/max: %v %v", back.Min(), back.Max())
-	}
-}
 
 // TestSketchBinaryRoundTrip: the decoded sketch answers every quantile
 // exactly as the original (post-flush) would, and merging with decoded
@@ -83,9 +23,9 @@ func TestSketchBinaryRoundTrip(t *testing.T) {
 	if err := back.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	if back.N() != q.N() || back.Min() != q.Min() || back.Max() != q.Max() {
+	if back.n != q.n || back.minSeen != q.minSeen || back.maxSeen != q.maxSeen {
 		t.Fatalf("round trip changed counters: n %d/%d min %v/%v max %v/%v",
-			back.N(), q.N(), back.Min(), q.Min(), back.Max(), q.Max())
+			back.n, q.n, back.minSeen, q.minSeen, back.maxSeen, q.maxSeen)
 	}
 	for _, p := range []float64{0, 0.05, 0.25, 0.5, 0.75, 0.95, 1} {
 		if got, want := back.Quantile(p), q.Quantile(p); got != want {
@@ -124,14 +64,6 @@ func TestSketchBinaryCorrupt(t *testing.T) {
 		if err := back.UnmarshalBinary(b); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
-	}
-
-	var m Moments
-	if err := m.UnmarshalBinary(data[:2]); err == nil {
-		t.Error("truncated Moments: expected error")
-	}
-	if err := m.UnmarshalBinary(append([]byte{42}, data[1:]...)); err == nil {
-		t.Error("bad Moments version: expected error")
 	}
 }
 

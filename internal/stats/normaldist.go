@@ -9,11 +9,6 @@ func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// NormalPDF returns the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-}
-
 // NormalQuantile returns Phi^-1(p) for p in (0, 1): the inverse of the
 // standard normal CDF. It uses Acklam's rational approximation followed by
 // one Halley refinement step, giving full double precision over the whole

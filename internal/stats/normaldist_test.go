@@ -19,11 +19,6 @@ func TestNormalCDFKnownValues(t *testing.T) {
 	}
 }
 
-func TestNormalPDFKnownValues(t *testing.T) {
-	approx(t, "phi(0)", NormalPDF(0), 0.3989422804014327, 1e-14)
-	approx(t, "phi(1)", NormalPDF(1), 0.24197072451914337, 1e-14)
-}
-
 func TestNormalQuantileKnownValues(t *testing.T) {
 	cases := []struct{ p, want float64 }{
 		{0.5, 0},
@@ -73,19 +68,6 @@ func TestChiSquaredSFKnownValues(t *testing.T) {
 	approx(t, "chi2 sf k=1", ChiSquaredSF(3.841458820694124, 1), 0.05, 1e-8)
 	// x <= 0 has SF 1.
 	approx(t, "chi2 sf x=0", ChiSquaredSF(0, 3), 1, 0)
-}
-
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	approx(t, "F(0)", e.At(0), 0, 0)
-	approx(t, "F(1)", e.At(1), 0.25, 1e-12)
-	approx(t, "F(2)", e.At(2), 0.75, 1e-12)
-	approx(t, "F(3)", e.At(3), 1, 0)
-	approx(t, "F(10)", e.At(10), 1, 0)
-	if e.N() != 4 {
-		t.Errorf("N = %d", e.N())
-	}
-	approx(t, "q(0.5)", e.Quantile(0.5), 2, 1e-12)
 }
 
 func TestHistogramBinning(t *testing.T) {

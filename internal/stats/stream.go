@@ -211,25 +211,6 @@ func NewQuantileSketch(compression float64) *QuantileSketch {
 	}
 }
 
-// N returns the number of values added.
-func (q *QuantileSketch) N() int64 { return q.n }
-
-// Min returns the smallest value added (exact), NaN when empty.
-func (q *QuantileSketch) Min() float64 {
-	if q.n == 0 {
-		return math.NaN()
-	}
-	return q.minSeen
-}
-
-// Max returns the largest value added (exact), NaN when empty.
-func (q *QuantileSketch) Max() float64 {
-	if q.n == 0 {
-		return math.NaN()
-	}
-	return q.maxSeen
-}
-
 // Add folds one value into the sketch.
 func (q *QuantileSketch) Add(x float64) {
 	if x < q.minSeen {

@@ -182,11 +182,11 @@ func TestQuantileSketchMatchesExact(t *testing.T) {
 					t.Errorf("p%g: sketch %v vs exact %v (tol %v)", p, got, want, 0.02*iqr)
 				}
 			}
-			if q.Min() != sorted[0] || q.Max() != sorted[len(sorted)-1] {
+			if q.minSeen != sorted[0] || q.maxSeen != sorted[len(sorted)-1] {
 				t.Error("sketch min/max not exact")
 			}
-			if q.N() != int64(len(xs)) {
-				t.Fatalf("N = %d, want %d", q.N(), len(xs))
+			if q.n != int64(len(xs)) {
+				t.Fatalf("N = %d, want %d", q.n, len(xs))
 			}
 		})
 	}
@@ -218,8 +218,8 @@ func TestQuantileSketchMergeMatchesWhole(t *testing.T) {
 					t.Errorf("p%g: merged sketch %v vs exact %v", p, got, want)
 				}
 			}
-			if merged.N() != int64(len(xs)) {
-				t.Fatalf("merged N = %d, want %d", merged.N(), len(xs))
+			if merged.n != int64(len(xs)) {
+				t.Fatalf("merged N = %d, want %d", merged.n, len(xs))
 			}
 		})
 	}
@@ -227,8 +227,8 @@ func TestQuantileSketchMergeMatchesWhole(t *testing.T) {
 
 func TestQuantileSketchEdgeCases(t *testing.T) {
 	q := NewQuantileSketch(50)
-	if !math.IsNaN(q.Quantile(0.5)) || !math.IsNaN(q.Min()) {
-		t.Fatal("empty sketch should report NaN")
+	if !math.IsNaN(q.Quantile(0.5)) {
+		t.Fatal("empty sketch median should be NaN")
 	}
 	q.Add(4)
 	if q.Quantile(0.5) != 4 || q.Quantile(0) != 4 || q.Quantile(1) != 4 {
@@ -308,11 +308,11 @@ func TestQuantileSketchAddSortedMatchesExact(t *testing.T) {
 					t.Errorf("p%g: sketch %v vs exact %v (tol %v)", p, got, want, 0.02*iqr)
 				}
 			}
-			if q.Min() != sorted[0] || q.Max() != sorted[len(sorted)-1] {
+			if q.minSeen != sorted[0] || q.maxSeen != sorted[len(sorted)-1] {
 				t.Error("sketch min/max not exact")
 			}
-			if q.N() != int64(len(xs)) {
-				t.Fatalf("N = %d, want %d", q.N(), len(xs))
+			if q.n != int64(len(xs)) {
+				t.Fatalf("N = %d, want %d", q.n, len(xs))
 			}
 			// The AddSorted-only ingestion path must never allocate the
 			// Add buffer — that buffer is what made per-iteration
@@ -346,8 +346,8 @@ func TestQuantileSketchMixedAddAddSorted(t *testing.T) {
 		}
 		i += 48
 	}
-	if q.N() != int64(len(xs)) {
-		t.Fatalf("N = %d, want %d", q.N(), len(xs))
+	if q.n != int64(len(xs)) {
+		t.Fatalf("N = %d, want %d", q.n, len(xs))
 	}
 	sorted := Sorted(xs)
 	iqr := IQRSorted(sorted)
@@ -361,8 +361,8 @@ func TestQuantileSketchMixedAddAddSorted(t *testing.T) {
 	q2 := NewQuantileSketch(0)
 	q2.AddSorted(sorted)
 	q.Merge(q2)
-	if q.N() != 2*int64(len(xs)) {
-		t.Fatalf("merged N = %d", q.N())
+	if q.n != 2*int64(len(xs)) {
+		t.Fatalf("merged N = %d", q.n)
 	}
 	for _, p := range []float64{25, 50, 75} {
 		got, want := q.Percentile(p), PercentileSorted(sorted, p)

@@ -89,9 +89,6 @@ func NewWithClock(info StudyInfo, now func() time.Time) *Tracker {
 // ID returns the tracker's progress identity.
 func (t *Tracker) ID() string { return t.info.ID }
 
-// Info returns the study identity the tracker was created with.
-func (t *Tracker) Info() StudyInfo { return t.info }
-
 // ObserveFill implements cluster.ProgressSink: one produced sample block
 // of n samples that took busy of one worker's time.
 func (t *Tracker) ObserveFill(n int, busy time.Duration) {
@@ -113,9 +110,6 @@ func (t *Tracker) Finish() {
 	t.mu.Unlock()
 	t.done.Store(true)
 }
-
-// Done reports whether Finish has been called.
-func (t *Tracker) Done() bool { return t.done.Load() }
 
 // totalBlocks returns the study's full block count.
 func (t *Tracker) totalBlocks() int64 {

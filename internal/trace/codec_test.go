@@ -66,7 +66,7 @@ func TestDatasetWireFormatsUnchanged(t *testing.T) {
 		for r := 0; r < ranks; r++ {
 			w := sink.Stripe(tr, r)
 			for i := 0; i < iters; i++ {
-				w.Append(want.Times[tr][r][i])
+				appendBlock(w, want.Times[tr][r][i])
 			}
 		}
 	}

@@ -148,9 +148,6 @@ func NewSink(app string, trials, ranks, iterations, threads int) *Sink {
 	return &Sink{d: d, stripes: stripes}
 }
 
-// App returns the application name the sink was created with.
-func (s *Sink) App() string { return s.d.App }
-
 // Trials returns the sink's trial count.
 func (s *Sink) Trials() int { return s.d.Trials }
 
@@ -185,9 +182,6 @@ type StripeWriter struct {
 	base   int
 }
 
-// Written returns how many iterations have been appended to the stripe.
-func (w *StripeWriter) Written() int { return w.stripe.next }
-
 // next reserves the destination view of the next iteration.
 func (w *StripeWriter) nextView() []float64 {
 	d := w.sink.d
@@ -206,16 +200,6 @@ func (w *StripeWriter) commit(out []float64) {
 	}
 	w.stripe.hash = h
 	w.stripe.next++
-}
-
-// Append copies one process iteration's thread samples into the stripe.
-func (w *StripeWriter) Append(xs []float64) {
-	out := w.nextView()
-	if len(xs) != len(out) {
-		panic(fmt.Sprintf("trace: appending %d samples to a %d-thread stripe", len(xs), len(out)))
-	}
-	copy(out, xs)
-	w.commit(out)
 }
 
 // AppendWith hands the next iteration's backing storage to fill — letting

@@ -83,11 +83,16 @@ func TestSinkParallelFillMatchesDataset(t *testing.T) {
 	}
 }
 
+// appendBlock copies one process iteration into the stripe's next slot.
+func appendBlock(w *StripeWriter, xs []float64) {
+	w.AppendWith(func(out []float64) { copy(out, xs) })
+}
+
 func TestSinkSealRejectsIncompleteStripe(t *testing.T) {
 	sink := NewSink("app", 1, 2, 3, 2)
 	w := sink.Stripe(0, 0)
 	for i := 0; i < 3; i++ {
-		w.Append([]float64{1, 2})
+		appendBlock(w, []float64{1, 2})
 	}
 	// Stripe (0,1) never filled.
 	if _, err := sink.Seal(); err == nil {
@@ -98,13 +103,13 @@ func TestSinkSealRejectsIncompleteStripe(t *testing.T) {
 func TestStripeWriterPanicsPastEnd(t *testing.T) {
 	sink := NewSink("app", 1, 1, 1, 2)
 	w := sink.Stripe(0, 0)
-	w.Append([]float64{1, 2})
+	appendBlock(w, []float64{1, 2})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on over-append")
 		}
 	}()
-	w.Append([]float64{3, 4})
+	appendBlock(w, []float64{3, 4})
 }
 
 func TestCursorVisitsEveryBlockInOrder(t *testing.T) {

@@ -71,14 +71,6 @@ func (r *Recorder) Exit(iter, thread, core int) {
 	r.exit[r.idx(iter, thread)] = r.clock.Now(core)
 }
 
-// SetComputeTime stores a pre-computed elapsed time for (iter, thread),
-// used by the calibrated simulation path where no live clock is involved.
-func (r *Recorder) SetComputeTime(iter, thread int, d time.Duration) {
-	i := r.idx(iter, thread)
-	r.enter[i] = 0
-	r.exit[i] = d
-}
-
 // ComputeTime returns the derived compute time (exit - enter) of
 // (iter, thread).
 func (r *Recorder) ComputeTime(iter, thread int) time.Duration {

@@ -46,9 +46,16 @@ func TestRecorderCancelsCoreSkew(t *testing.T) {
 	}
 }
 
-func TestRecorderSetComputeTime(t *testing.T) {
-	rec := NewRecorder(simclock.NewVirtual(), 1, 2)
-	rec.SetComputeTime(0, 0, 24740*time.Microsecond)
+// TestRecorderIterationSeconds: an iteration's compute times come back in
+// seconds, one per thread, from the enter and exit readings.
+func TestRecorderIterationSeconds(t *testing.T) {
+	v := simclock.NewVirtual()
+	rec := NewRecorder(v, 1, 2)
+	rec.Enter(0, 0, 0)
+	rec.Enter(0, 1, 1)
+	rec.Exit(0, 1, 1)
+	v.Advance(24740 * time.Microsecond)
+	rec.Exit(0, 0, 0)
 	if got := rec.ComputeTime(0, 0); got != 24740*time.Microsecond {
 		t.Fatalf("got %v", got)
 	}
@@ -142,7 +149,7 @@ func TestDatasetSetFromRecorder(t *testing.T) {
 	rec := NewRecorder(v, 2, 3)
 	for i := 0; i < 2; i++ {
 		for th := 0; th < 3; th++ {
-			rec.SetComputeTime(i, th, time.Duration(i*3+th)*time.Millisecond)
+			rec.exit[rec.idx(i, th)] = time.Duration(i*3+th) * time.Millisecond
 		}
 	}
 	d := NewDataset("x", 1, 1, 2, 3)

@@ -137,16 +137,14 @@ func TestMiniQMCCalibration(t *testing.T) {
 
 	// The breadth of arrivals exceeds 40 ms (Figure 8).
 	ps := analysis.IterationPercentiles(d, []float64{1, 25, 50, 75, 99})
-	p1 := ps.Column(1)
-	p99 := ps.Column(99)
 	wide := 0
-	for i := range p1 {
-		if p99[i]-p1[i] > 30e-3 {
+	for _, row := range ps.Values { // row[0] is p1, row[4] p99
+		if row[4]-row[0] > 30e-3 {
 			wide++
 		}
 	}
-	if wide < len(p1)/2 {
-		t.Errorf("only %d/%d iterations have >30ms arrival breadth", wide, len(p1))
+	if wide < len(ps.Values)/2 {
+		t.Errorf("only %d/%d iterations have >30ms arrival breadth", wide, len(ps.Values))
 	}
 
 	// Table 1: most process iterations are normal.
